@@ -8,8 +8,10 @@ always bus 1 and its voltage is held at 1.0 pu, 0 rad.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+import math
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -71,17 +73,42 @@ class Network:
     def index_of(self, bus_id: int) -> int:
         """Array index of a bus id in the bus ordering."""
         try:
-            return self._index()[bus_id]
+            return self._bus_index[bus_id]
         except KeyError:
             raise NetworkValidationError(f"unknown bus id {bus_id}") from None
 
-    def _index(self) -> dict[int, int]:
-        # cached on first use; Network is immutable so this is safe
-        idx = getattr(self, "_idx_cache", None)
-        if idx is None:
-            idx = {b.id: i for i, b in enumerate(self.buses)}
-            object.__setattr__(self, "_idx_cache", idx)
-        return idx
+    # Derived data is computed on first use and kept; Network is immutable,
+    # so this is safe. cached_property writes the instance dict directly.
+    @cached_property
+    def _bus_index(self) -> dict[int, int]:
+        return {b.id: i for i, b in enumerate(self.buses)}
+
+    @cached_property
+    def branch_arrays(self) -> tuple[np.ndarray, ...]:
+        """Per branch: from and to bus index, series admittance and half the
+        line charging (pu), in branch order."""
+        fidx = [self.index_of(b.from_bus) for b in self.branches]
+        tidx = [self.index_of(b.to_bus) for b in self.branches]
+        ys = [1.0 / complex(b.resistance, b.reactance) for b in self.branches]
+        bsh = [1j * b.shunt_susceptance_total / 2.0 for b in self.branches]
+        return (np.array(fidx, dtype=int), np.array(tidx, dtype=int),
+                np.array(ys, dtype=complex), np.array(bsh, dtype=complex))
+
+    @cached_property
+    def limit_bounds(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """Name, lower and upper bound of every operating constraint: slack
+        apparent, active and reactive power, each PQ-bus voltage (every bus
+        after the slack), then each branch flow."""
+        inf = float("inf")
+        rows = [("slack_apparent_mva", -inf, self.s_s_max),
+                ("slack_active_mw", 0.0, self.s_s_max),
+                ("slack_reactive_mvar", 0.0, self.s_s_max)]
+        rows += [(f"voltage_bus_{b.id}", b.v_min, b.v_max)
+                 for b in self.buses[1:]]
+        rows += [(f"flow_{br.from_bus}_{br.to_bus}", -inf, br.s_l_max)
+                 for br in self.branches]
+        names, lower, upper = zip(*rows)
+        return names, np.array(lower), np.array(upper)
 
     @property
     def station_buses(self) -> tuple[int, ...]:
@@ -190,7 +217,8 @@ def _num(obj: Mapping[str, Any], key: str, where: str, default=None) -> float:
     val = obj.get(key, default)
     if val is None:
         raise CaseFileError(f"{where}: missing field {key!r}")
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if isinstance(val, bool) or not isinstance(val, (int, float)) \
+            or not math.isfinite(val):
         raise CaseFileError(f"{where}.{key}: expected a number, got {val!r}")
     return float(val)
 

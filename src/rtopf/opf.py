@@ -4,12 +4,12 @@ The objective is wind revenue minus the costs of grid losses and of active
 and reactive energy imported at the slack bus, subject to the AC power-flow
 equations, slack/voltage/feeder limits, and box bounds on the curtailment
 factors. With only a handful of decision variables (one per wind station),
-the solver is a multi-start projected local search with a pattern-search
-polish, certified against a brute-force grid oracle.
+the solver is a seeded grid search with a pattern-search polish, certified
+against a brute-force grid oracle.
 
 The receding-horizon controller solves tens of thousands of these problems
-per simulated day, so the evaluator batches candidate points through a
-vectorized Newton power flow.
+per simulated day, so the evaluator batches candidate points through the
+batched Newton power flow of ``rtopf.powerflow``.
 """
 
 from __future__ import annotations
@@ -17,13 +17,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .network import Network, build_admittance
 from .powerflow import (ConstraintReport, InjectionSpec, PowerFlowSolution,
-                        _branch_arrays, check_limits, solve_power_flow)
+                        branch_flows, check_limits, initial_state,
+                        injections, limit_margins, newton, objective,
+                        slack_power, solve_power_flow)
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -45,8 +47,11 @@ class HorizonInput:
     price_q: float
 
     def validated(self, net: Network) -> "HorizonInput":
-        for bus, val in {**self.demand_p, **self.demand_q}.items():
+        for bus, val in itertools.chain(self.demand_p.items(),
+                                        self.demand_q.items()):
             net.index_of(int(bus))
+            if not math.isfinite(val):
+                raise ValueError(f"non-finite demand at bus {bus}: {val}")
             if val < 0:
                 raise ValueError(f"negative demand at bus {bus}")
         rated = {s.bus: s.rated_power for s in net.stations}
@@ -56,8 +61,8 @@ class HorizonInput:
             if not (0 <= val <= rated[int(bus)] + 1e-9):
                 raise ValueError(
                     f"wind at bus {bus} outside [0, rated]: {val}")
-        if self.price_p < 0 or self.price_q < 0:
-            raise ValueError("prices must be non-negative")
+        if not all(0 <= c < math.inf for c in (self.price_p, self.price_q)):
+            raise ValueError("prices must be finite and non-negative")
         return self
 
     def with_wind(self, wind_by_station: Mapping[int, float]) -> "HorizonInput":
@@ -84,11 +89,10 @@ class OPFSolution:
 
 @dataclass(frozen=True)
 class OPFOptions:
-    tol_obj: float = 1e-9      # minimum accepted line-search improvement
+    tol_obj: float = 1e-9      # minimum accepted search-step improvement
     tol_cons: float = 1e-6     # constraint-violation tolerance
     max_evals: int = 20000
     coarse_grid: int = 7       # grid points per station for seeding
-    pg_iters: int = 30         # projected-gradient iterations per start
     polish_step: float = 0.05  # initial pattern-search step
     polish_step_min: float = 1e-6
     pf_tol: float = 1e-8
@@ -96,87 +100,25 @@ class OPFOptions:
 
 
 # tuned-down options for the receding-horizon loop; same algorithm, coarser
-# polish resolution and no gradient phase
-FAST_OPTS = OPFOptions(tol_obj=1e-7, coarse_grid=2, pg_iters=0,
+# seeding grid and polish resolution
+FAST_OPTS = OPFOptions(tol_obj=1e-7, coarse_grid=2,
                        polish_step=0.25, polish_step_min=1e-2,
                        max_evals=4000)
 
 
-def _newton_batch(y: np.ndarray, p_pu: np.ndarray, q_pu: np.ndarray,
-                  v: np.ndarray, th: np.ndarray, tol: float, max_iter: int):
-    """Vectorized polar Newton over K independent injection sets.
-
-    ``p_pu``/``q_pu``/``v``/``th`` are (K, n); bus 0 is the slack. Mutates
-    v and th in place; returns a boolean convergence mask of shape (K,).
-    """
-    k_tot, n = v.shape
-    npq = n - 1
-    diag = np.arange(n)
-    ok = np.zeros(k_tot, dtype=bool)
-    fail = np.zeros(k_tot, dtype=bool)
-    for it in range(max_iter + 1):
-        vc = v * np.exp(1j * th)
-        cur = vc @ y.T
-        s = vc * np.conj(cur)
-        dp = p_pu[:, 1:] - s.real[:, 1:]
-        dq = q_pu[:, 1:] - s.imag[:, 1:]
-        res = np.maximum(np.abs(dp).max(axis=1), np.abs(dq).max(axis=1)) \
-            if npq else np.zeros(k_tot)
-        fail |= ~np.isfinite(res)
-        ok = ~fail & (res <= tol)
-        act = ~(ok | fail)
-        if not act.any() or it == max_iter:
-            break
-        idx = np.nonzero(act)[0]
-        vca, cura, va = vc[idx], cur[idx], v[idx]
-        m = -(y[None, :, :] * vca[:, None, :])
-        m[:, diag, diag] += cura
-        ds_dth = 1j * vca[:, :, None] * np.conj(m)
-        vn = vca / va
-        ds_dvm = vca[:, :, None] * np.conj(y[None, :, :] * vn[:, None, :])
-        ds_dvm[:, diag, diag] += np.conj(cura) * vn
-        jac = np.empty((idx.size, 2 * npq, 2 * npq))
-        jac[:, :npq, :npq] = ds_dth.real[:, 1:, 1:]
-        jac[:, :npq, npq:] = ds_dvm.real[:, 1:, 1:]
-        jac[:, npq:, :npq] = ds_dth.imag[:, 1:, 1:]
-        jac[:, npq:, npq:] = ds_dvm.imag[:, 1:, 1:]
-        rhs = np.concatenate([dp[idx], dq[idx]], axis=1)
-        try:
-            step = np.linalg.solve(jac, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = np.zeros_like(rhs)
-            for r in range(idx.size):
-                try:
-                    step[r] = np.linalg.solve(jac[r], rhs[r])
-                except np.linalg.LinAlgError:
-                    fail[idx[r]] = True
-        th[idx, 1:] += step[:, :npq]
-        v[idx, 1:] += step[:, npq:]
-        bad = (v[idx, 1:] <= 0).any(axis=1) \
-            | ~np.isfinite(v[idx, 1:]).all(axis=1)
-        fail[idx[bad]] = True
-    return ok
+class _Eval(NamedTuple):
+    """Result of one objective evaluation."""
+    score: float  # the objective where feasible, -inf otherwise
+    p_s: float    # MW
+    feasible: bool
+    converged: bool
 
 
-class _Eval:
-    """Result of one objective evaluation (slots keep it light)."""
-    __slots__ = ("score", "f", "f1", "f2", "f3", "f4", "p_s", "q_s",
-                 "p_loss", "feasible", "converged")
-
-    def __init__(self, score, f, f1, f2, f3, f4, p_s, q_s, p_loss,
-                 feasible, converged):
-        self.score = score
-        self.f, self.f1, self.f2, self.f3, self.f4 = f, f1, f2, f3, f4
-        self.p_s, self.q_s, self.p_loss = p_s, q_s, p_loss
-        self.feasible = feasible
-        self.converged = converged
-
-
-_FAILED_EVAL = _Eval(-math.inf, *([math.nan] * 8), False, False)
+_FAILED_EVAL = _Eval(-math.inf, math.nan, False, False)
 
 
 class _Evaluator:
-    """Caches network arrays and evaluates the objective at beta points.
+    """Holds the admittance matrix and evaluates the objective at beta points.
 
     All candidate points of a search phase go through one batched Newton
     solve. Batches warm-start from the last best converged state; the
@@ -188,96 +130,35 @@ class _Evaluator:
         self.net = net
         self.inp = inp
         self.opts = opts
-        n = net.n_buses
         self.y = build_admittance(net)
-        self.base = net.base_mva
-        self.p_inj = np.zeros(n)  # MW, demand only
-        self.q_inj = np.zeros(n)
-        for bus, val in inp.demand_p.items():
-            self.p_inj[net.index_of(int(bus))] -= val
-        for bus, val in inp.demand_q.items():
-            self.q_inj[net.index_of(int(bus))] -= val
-        self.st_idx = np.array([net.index_of(s.bus) for s in net.stations],
-                               dtype=int)
-        self.wind = np.array([inp.wind_available.get(s.bus, 0.0)
-                              for s in net.stations])
-        self.fidx, self.tidx, self.ys, self.bsh = _branch_arrays(net)
-        self.sl_max = np.array([b.s_l_max for b in net.branches])
-        self.v_min = np.array([b.v_min for b in net.buses])
-        self.v_max = np.array([b.v_max for b in net.buses])
+        self.wind = _wind(net, inp)
         self.evals = 0
         self._warm = None
 
     def eval_many(self, xs: Sequence[np.ndarray]) -> list[_Eval]:
         k = len(xs)
         self.evals += k
-        net, opts = self.net, self.opts
-        n = net.n_buses
+        net, inp, opts = self.net, self.inp, self.opts
         beta = np.asarray(xs, dtype=float).reshape(k, -1)
-        p = np.tile(self.p_inj, (k, 1))
-        if self.st_idx.size:
-            p[:, self.st_idx] += beta * self.wind
-        p_pu = p / self.base
-        q_pu = np.tile(self.q_inj / self.base, (k, 1))
-        if self._warm is None:
-            v = np.full((k, n), net.slack_voltage)
-            th = np.full((k, n), net.slack_angle)
-        else:
-            v = np.tile(self._warm[0], (k, 1))
-            th = np.tile(self._warm[1], (k, 1))
-        ok = _newton_batch(self.y, p_pu, q_pu, v, th,
-                           opts.pf_tol, opts.pf_max_iter)
-
-        vc = v * np.exp(1j * th)
-        s_slack = vc[:, 0] * np.conj((vc @ self.y.T)[:, 0])
-        p_s = s_slack.real * self.base
-        q_s = s_slack.imag * self.base
-        p_loss = p_s + p[:, 1:].sum(axis=1)
-        if self.fidx.size:
-            vf, vt = vc[:, self.fidx], vc[:, self.tidx]
-            i_f = (vf - vt) * self.ys + vf * self.bsh
-            i_t = (vt - vf) * self.ys + vt * self.bsh
-            flows = np.maximum(np.abs(vf * np.conj(i_f)),
-                               np.abs(vt * np.conj(i_t))) * self.base
-            flow_ok = (flows <= self.sl_max + opts.tol_cons).all(axis=1)
-        else:
-            flow_ok = np.ones(k, dtype=bool)
-        tol = opts.tol_cons
-        feas = (ok & flow_ok
-                & (np.hypot(p_s, q_s) <= net.s_s_max + tol)
-                & (p_s >= -tol) & (p_s <= net.s_s_max + tol)
-                & (q_s >= -tol) & (q_s <= net.s_s_max + tol)
-                & (v[:, 1:] >= self.v_min[1:] - tol).all(axis=1)
-                & (v[:, 1:] <= self.v_max[1:] + tol).all(axis=1))
-
-        f1 = self.inp.price_p * (beta * self.wind).sum(axis=1)
-        f2 = self.inp.price_p * p_loss
-        f3 = self.inp.price_p * p_s
-        f4 = self.inp.price_q * q_s
-        f = f1 - f2 - f3 - f4
-
-        out = []
-        best_k = None
-        for i in range(k):
-            if not ok[i]:
-                out.append(_FAILED_EVAL)
-                continue
-            e = _Eval(float(f[i]) if feas[i] else -math.inf,
-                      float(f[i]), float(f1[i]), float(f2[i]), float(f3[i]),
-                      float(f4[i]), float(p_s[i]), float(q_s[i]),
-                      float(p_loss[i]), bool(feas[i]), True)
-            out.append(e)
-            if e.feasible and (best_k is None
-                               or e.score > out[best_k].score):
-                best_k = i
-        if best_k is None:
-            for i in range(k):
-                if ok[i]:
-                    best_k = i
-                    break
-        if best_k is not None:
-            self._warm = (v[best_k].copy(), th[best_k].copy())
-        return out
+        p, q, injected = injections(net, inp.demand_p, inp.demand_q,
+                                    self.wind, beta)
+        v, th = initial_state(net, k, self._warm)
+        ok, _, _, _ = newton(self.y, p / net.base_mva, q / net.base_mva,
+                             v, th, opts.pf_tol, opts.pf_max_iter)
+        p_s, q_s, p_loss = slack_power(net, self.y, p, v, th)
+        _, margins = limit_margins(net, p_s, q_s, v,
+                                   branch_flows(net, v, th))
+        feas = ok & (margins >= -opts.tol_cons).all(axis=1)
+        f = objective(inp.price_p, inp.price_q, injected, p_loss, p_s,
+                      q_s)[0]
+        score = np.where(feas, f, -math.inf)
+        if ok.any():
+            # the next batch starts from the best feasible point, or else
+            # from the first converged one (argmax takes the first maximum)
+            best = int(np.argmax(score if feas.any() else ok))
+            self._warm = (v[best].copy(), th[best].copy())
+        return [_Eval(float(score[i]), float(p_s[i]), bool(feas[i]), True)
+                if ok[i] else _FAILED_EVAL for i in range(k)]
 
     def __call__(self, x: np.ndarray) -> _Eval:
         return self.eval_many([x])[0]
@@ -285,34 +166,21 @@ class _Evaluator:
     def full_solution(self, beta: np.ndarray, status: str,
                       message: str = "") -> OPFSolution:
         """Re-solve at beta through the public path and attach the report."""
-        inj = _injections(self.net, self.inp, beta)
-        pf = solve_power_flow(self.net, inj, tol=self.opts.pf_tol,
-                              max_iter=self.opts.pf_max_iter, y=self.y,
-                              start=self._warm)
-        report = check_limits(self.net, pf, tol=self.opts.tol_cons)
-        f1 = self.inp.price_p * float(np.dot(beta, self.wind))
-        f2 = self.inp.price_p * pf.p_loss
-        f3 = self.inp.price_p * pf.p_s
-        f4 = self.inp.price_q * pf.q_s
+        bd = _breakdown(self.net, self.inp, beta, self.opts.tol_cons,
+                        tol=self.opts.pf_tol, max_iter=self.opts.pf_max_iter,
+                        y=self.y, start=self._warm)
+        pf = bd.power_flow
         return OPFSolution(
             beta=tuple(float(b) for b in beta),
             p_s=pf.p_s, q_s=pf.q_s, p_loss=pf.p_loss,
-            f=f1 - f2 - f3 - f4, f1=f1, f2=f2, f3=f3, f4=f4,
-            status=status, power_flow=pf, report=report,
+            f=bd.f, f1=bd.f1, f2=bd.f2, f3=bd.f3, f4=bd.f4,
+            status=status, power_flow=pf, report=bd.report,
             evals=self.evals, message=message)
 
 
-def _injections(net: Network, inp: HorizonInput,
-                beta: Sequence[float]) -> InjectionSpec:
-    p = np.zeros(net.n_buses)
-    q = np.zeros(net.n_buses)
-    for bus, val in inp.demand_p.items():
-        p[net.index_of(int(bus))] -= val
-    for bus, val in inp.demand_q.items():
-        q[net.index_of(int(bus))] -= val
-    for b, st in zip(beta, net.stations):
-        p[net.index_of(st.bus)] += b * inp.wind_available.get(st.bus, 0.0)
-    return InjectionSpec(p, q)
+def _wind(net: Network, inp: HorizonInput) -> np.ndarray:
+    return np.array([inp.wind_available.get(s.bus, 0.0)
+                     for s in net.stations])
 
 
 @dataclass(frozen=True)
@@ -326,6 +194,18 @@ class ObjectiveBreakdown:
     power_flow: PowerFlowSolution
 
 
+def _breakdown(net: Network, inp: HorizonInput, beta, tol_cons: float,
+               **pf_args) -> ObjectiveBreakdown:
+    """Power flow, objective terms and limit report at one beta."""
+    p, q, injected = injections(net, inp.demand_p, inp.demand_q,
+                                _wind(net, inp), [beta])
+    pf = solve_power_flow(net, InjectionSpec(p[0], q[0]), **pf_args)
+    terms = objective(inp.price_p, inp.price_q, float(injected[0]),
+                      pf.p_loss, pf.p_s, pf.q_s)  # f, f1, f2, f3, f4
+    return ObjectiveBreakdown(*terms, power_flow=pf,
+                              report=check_limits(net, pf, tol=tol_cons))
+
+
 def evaluate_objective(net: Network, inp: HorizonInput,
                        beta: Sequence[float],
                        tol_cons: float = 1e-6) -> ObjectiveBreakdown:
@@ -333,16 +213,7 @@ def evaluate_objective(net: Network, inp: HorizonInput,
     beta = np.asarray(beta, dtype=float)
     if np.any(beta < -1e-12) or np.any(beta > 1 + 1e-12):
         raise ValueError("beta must lie in [0, 1] per station")
-    pf = solve_power_flow(net, _injections(net, inp, beta))
-    wind = np.array([inp.wind_available.get(s.bus, 0.0)
-                     for s in net.stations])
-    f1 = inp.price_p * float(np.dot(beta, wind))
-    f2 = inp.price_p * pf.p_loss
-    f3 = inp.price_p * pf.p_s
-    f4 = inp.price_q * pf.q_s
-    return ObjectiveBreakdown(f=f1 - f2 - f3 - f4, f1=f1, f2=f2, f3=f3, f4=f4,
-                              report=check_limits(net, pf, tol=tol_cons),
-                              power_flow=pf)
+    return _breakdown(net, inp, beta, tol_cons)
 
 
 def _failed(beta_len: int, status: str, evals: int,
@@ -369,61 +240,6 @@ def _rebalanced(ev: _Evaluator, xn: np.ndarray, p_s_short: float,
     out = xn.copy()
     out[k] -= need / ev.wind[k]
     return out
-
-
-def _fd_gradient(ev: _Evaluator, x: np.ndarray, fx: float,
-                 h: float = 1e-6) -> np.ndarray:
-    """One-sided finite differences, stepping away from the box bound."""
-    pts, signs = [], []
-    for i in range(x.size):
-        if x[i] + h <= 1.0:
-            xp = x.copy()
-            xp[i] += h
-            pts.append(xp)
-            signs.append(1.0)
-        else:
-            xp = x.copy()
-            xp[i] -= h
-            pts.append(xp)
-            signs.append(-1.0)
-    res = ev.eval_many(pts)
-    g = np.zeros_like(x)
-    for i, (e, sg) in enumerate(zip(res, signs)):
-        if math.isfinite(e.score):
-            g[i] = sg * (e.score - fx) / h
-    return g
-
-
-def _projected_gradient(ev: _Evaluator, x0: np.ndarray, opts: OPFOptions):
-    """Gradient ascent with projection onto the unit box; infeasible
-    iterates are handled by backtracking the step."""
-    x = np.clip(x0, 0.0, 1.0)
-    fx = ev(x).score
-    if not math.isfinite(fx):
-        return x, fx
-    for _ in range(opts.pg_iters):
-        if ev.evals >= opts.max_evals:
-            break
-        g = _fd_gradient(ev, x, fx)
-        norm = float(np.linalg.norm(g))
-        if norm < 1e-12:
-            break
-        d = g / norm
-        alpha = 0.25
-        improved = False
-        while alpha >= 1e-7:
-            xn = np.clip(x + alpha * d, 0.0, 1.0)
-            if np.array_equal(xn, x):
-                break
-            fn = ev(xn).score
-            if fn > fx + opts.tol_obj:
-                x, fx = xn, fn
-                improved = True
-                break
-            alpha /= 2.0
-        if not improved:
-            break
-    return x, fx
 
 
 def _moves(n: int, wind: np.ndarray):
@@ -612,17 +428,6 @@ def solve_opf(net: Network, inp: HorizonInput,
             return _failed(nst, STATUS_INFEASIBLE, ev.evals,
                            "no feasible point on the 101-per-station grid")
         best_x, best_f = found
-
-    starts = [best_x, ones, np.zeros(nst)]
-    seen: set[tuple[float, ...]] = set()
-    for s in starts:
-        key = tuple(np.round(s, 12))
-        if key in seen or ev.evals >= opts.max_evals or opts.pg_iters == 0:
-            continue
-        seen.add(key)
-        x, fx = _projected_gradient(ev, s, opts)
-        if fx > best_f:
-            best_x, best_f = x, fx
 
     best_x, best_f, converged = _compass_polish(ev, best_x, best_f, opts)
     best_x, best_f = _push_to_surface(ev, best_x, best_f, opts)

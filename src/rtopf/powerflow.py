@@ -1,4 +1,7 @@
-"""Newton-Raphson AC power flow (polar form) and operating-limit checks.
+"""Batched Newton-Raphson AC power flow (polar form), the objective and the
+operating-limit checks: the one evaluation kernel of the OPF and of the
+realized updates. Each function takes K cases as (K, n) arrays; a single
+power flow is K = 1.
 
 The slack bus balances the network: its active/reactive injection and the
 total losses come out of the solve. All buses except the slack are PQ.
@@ -6,7 +9,8 @@ total losses come out of the solve. All buses except the slack are PQ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -48,13 +52,7 @@ class InjectionSpec:
 
     @staticmethod
     def from_mappings(net: Network, p_by_bus, q_by_bus) -> "InjectionSpec":
-        p = np.zeros(net.n_buses)
-        q = np.zeros(net.n_buses)
-        for bus, val in p_by_bus.items():
-            p[net.index_of(int(bus))] += val
-        for bus, val in q_by_bus.items():
-            q[net.index_of(int(bus))] += val
-        return InjectionSpec(p, q)
+        return InjectionSpec(_per_bus(net, p_by_bus), _per_bus(net, q_by_bus))
 
 
 @dataclass(frozen=True)
@@ -69,78 +67,166 @@ class PowerFlowSolution:
     max_residual: float  # pu
 
 
-def _branch_arrays(net: Network):
-    fidx = np.array([net.index_of(b.from_bus) for b in net.branches], dtype=int)
-    tidx = np.array([net.index_of(b.to_bus) for b in net.branches], dtype=int)
-    ys = np.array([1.0 / complex(b.resistance, b.reactance)
-                   for b in net.branches])
-    bsh = np.array([1j * b.shunt_susceptance_total / 2.0
-                    for b in net.branches])
-    return fidx, tidx, ys, bsh
+def injections(net: Network, demand_p: Mapping[int, float],
+               demand_q: Mapping[int, float], wind,
+               beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bus injections in MW / Mvar for K curtailment vectors.
 
-
-def _newton(y: np.ndarray, p_pu: np.ndarray, q_pu: np.ndarray,
-            pq: np.ndarray, v: np.ndarray, theta: np.ndarray,
-            tol: float, max_iter: int):
-    """Core polar Newton iteration on raw arrays; mutates v and theta.
-
-    Returns (iterations, max_residual). Raises NonConvergence or
-    SingularJacobian.
+    ``beta`` is (K, stations) and ``wind`` the available MW per station, in
+    ``net.stations`` order. Demand enters negative and wind at unity power
+    factor. Returns p and q, each (K, n), and the wind injected per case (K,).
     """
-    npq = pq.size
-    diag = np.arange(y.shape[0])
+    w = np.asarray(beta, dtype=float) * np.asarray(wind, dtype=float)
+    p = np.repeat(-_per_bus(net, demand_p)[None, :], w.shape[0], axis=0)
+    for j, st in enumerate(net.stations):
+        p[:, net.index_of(st.bus)] += w[:, j]
+    q = np.repeat(-_per_bus(net, demand_q)[None, :], w.shape[0], axis=0)
+    return p, q, w.sum(axis=1)
+
+
+def _per_bus(net: Network, by_bus: Mapping[int, float]) -> np.ndarray:
+    """Values given per bus id, summed into a vector in bus order."""
+    out = [0.0] * net.n_buses
+    for bus, val in by_bus.items():
+        out[net.index_of(int(bus))] += val
+    return np.array(out)
+
+
+def initial_state(net: Network, k: int, start=None):
+    """(K, n) voltage magnitudes and angles: the slack values at the slack
+    bus, and elsewhere a flat start or the ``(v, theta)`` pair ``start``."""
+    v = np.full((k, net.n_buses), net.slack_voltage)
+    theta = np.full((k, net.n_buses), net.slack_angle)
+    if start is not None:
+        v[:, 1:] = np.asarray(start[0], dtype=float)[1:]
+        theta[:, 1:] = np.asarray(start[1], dtype=float)[1:]
+    return v, theta
+
+
+def _currents(y: np.ndarray, vc: np.ndarray) -> np.ndarray:
+    # one matrix-vector product per case, so that a case rounds the same
+    # whatever the batch size (a matrix-matrix product does not)
+    return np.matmul(y, vc[:, :, None])[:, :, 0]
+
+
+def newton(y: np.ndarray, p_pu: np.ndarray, q_pu: np.ndarray,
+           v: np.ndarray, theta: np.ndarray, tol: float, max_iter: int):
+    """Polar Newton iteration over K independent cases, (K, n) arrays.
+
+    Updates v and theta in place. Returns four (K,) arrays: converged, the
+    iteration count, the final max mismatch (pu), and whether the case
+    stopped on a singular Jacobian. A case also stops unconverged on a
+    non-finite mismatch or on a voltage magnitude stepped to <= 0 or a
+    non-finite value (residual inf).
+    """
+    k, n = v.shape
+    npq = n - 1
+    diag = np.arange(n)
+    active = np.ones(k, dtype=bool)
+    converged = np.zeros(k, dtype=bool)
+    singular = np.zeros(k, dtype=bool)
+    iterations = np.zeros(k, dtype=int)
+    residual = np.zeros(k)
     for it in range(max_iter + 1):
         vc = v * np.exp(1j * theta)
-        cur = y @ vc
+        cur = _currents(y, vc)
         s = vc * np.conj(cur)
-        dp = p_pu[pq] - s.real[pq]
-        dq = q_pu[pq] - s.imag[pq]
-        res = float(max(np.abs(dp).max(), np.abs(dq).max())) if npq else 0.0
-        if not np.isfinite(res):
-            raise NonConvergence(it, res)
-        if res <= tol:
-            return it, res
-        if it == max_iter:
-            raise NonConvergence(it, res)
+        dp = p_pu[:, 1:] - s.real[:, 1:]
+        dq = q_pu[:, 1:] - s.imag[:, 1:]
+        res = np.maximum(np.abs(dp).max(axis=1, initial=0.0),
+                         np.abs(dq).max(axis=1, initial=0.0))
+        iterations[active] = it
+        residual[active] = res[active]
+        converged |= active & (res <= tol)
+        active &= ~converged & np.isfinite(res)
+        if not active.any() or it == max_iter:
+            break
 
         # complex power sensitivities (standard polar-form formulas)
-        m = -(y * vc[None, :])
-        m[diag, diag] += cur
-        ds_dth = 1j * vc[:, None] * np.conj(m)
-        vn = vc / v
-        ds_dvm = vc[:, None] * np.conj(y * vn[None, :])
-        ds_dvm[diag, diag] += np.conj(cur) * vn
-
-        jac = np.empty((2 * npq, 2 * npq))
-        jac[:npq, :npq] = ds_dth.real[np.ix_(pq, pq)]
-        jac[:npq, npq:] = ds_dvm.real[np.ix_(pq, pq)]
-        jac[npq:, :npq] = ds_dth.imag[np.ix_(pq, pq)]
-        jac[npq:, npq:] = ds_dvm.imag[np.ix_(pq, pq)]
-        rhs = np.concatenate([dp, dq])
+        idx = np.nonzero(active)[0]
+        vca, cura, va = vc[idx], cur[idx], v[idx]
+        m = -(y[None, :, :] * vca[:, None, :])
+        m[:, diag, diag] += cura
+        ds_dth = 1j * vca[:, :, None] * np.conj(m)
+        vn = vca / va
+        ds_dvm = vca[:, :, None] * np.conj(y[None, :, :] * vn[:, None, :])
+        ds_dvm[:, diag, diag] += np.conj(cura) * vn
+        jac = np.empty((idx.size, 2 * npq, 2 * npq))
+        jac[:, :npq, :npq] = ds_dth.real[:, 1:, 1:]
+        jac[:, :npq, npq:] = ds_dvm.real[:, 1:, 1:]
+        jac[:, npq:, :npq] = ds_dth.imag[:, 1:, 1:]
+        jac[:, npq:, npq:] = ds_dvm.imag[:, 1:, 1:]
+        rhs = np.concatenate([dp[idx], dq[idx]], axis=1)
         try:
-            step = np.linalg.solve(jac, rhs)
+            step = np.linalg.solve(jac, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            raise SingularJacobian(it) from None
-        theta[pq] += step[:npq]
-        v[pq] += step[npq:]
-        if np.any(v[pq] <= 0) or not np.all(np.isfinite(v[pq])):
-            raise NonConvergence(it + 1, float("inf"))
-    raise NonConvergence(max_iter, res)  # pragma: no cover
+            step = np.zeros_like(rhs)
+            for r in range(idx.size):
+                try:
+                    step[r] = np.linalg.solve(jac[r], rhs[r])
+                except np.linalg.LinAlgError:
+                    singular[idx[r]] = True
+                    active[idx[r]] = False
+        theta[idx, 1:] += step[:, :npq]
+        v[idx, 1:] += step[:, npq:]
+        bad = idx[(v[idx, 1:] <= 0).any(axis=1)
+                  | ~np.isfinite(v[idx, 1:]).all(axis=1)]
+        active[bad] = False
+        iterations[bad] = it + 1
+        residual[bad] = np.inf
+    return converged, iterations, residual, singular
 
 
-def branch_flows(net: Network, v: np.ndarray, theta: np.ndarray,
-                 arrays=None) -> np.ndarray:
-    """Apparent power per branch in MVA, the larger of the two ends."""
-    if not net.branches:
-        return np.zeros(0)
-    fidx, tidx, ys, bsh = arrays if arrays is not None else _branch_arrays(net)
+def slack_power(net: Network, y: np.ndarray, p_mw: np.ndarray,
+                v: np.ndarray, theta: np.ndarray):
+    """Slack active and reactive power and the losses (MW, Mvar, MW), each
+    (K,), at K solved states with specified injections ``p_mw``. The losses
+    follow from the balance: the slack covers demand minus wind plus losses.
+    """
     vc = v * np.exp(1j * theta)
-    vf, vt = vc[fidx], vc[tidx]
+    v0, i0 = vc[:, 0], _currents(y, vc)[:, 0]
+    # S = V conj(I) in real arithmetic, each product rounded on its own
+    # (numpy's vectorized complex product may fuse multiply-adds)
+    p_s = (v0.real * i0.real + v0.imag * i0.imag) * net.base_mva
+    q_s = (v0.imag * i0.real - v0.real * i0.imag) * net.base_mva
+    return p_s, q_s, p_s + p_mw[:, 1:].sum(axis=1)
+
+
+def branch_flows(net: Network, v: np.ndarray,
+                 theta: np.ndarray) -> np.ndarray:
+    """Apparent power per branch in MVA, the larger of the two ends, for
+    (K, n) states; returns (K, branches)."""
+    fidx, tidx, ys, bsh = net.branch_arrays
+    vc = v * np.exp(1j * theta)
+    vf, vt = vc[:, fidx], vc[:, tidx]
     i_f = (vf - vt) * ys + vf * bsh
     i_t = (vt - vf) * ys + vt * bsh
     s_f = np.abs(vf * np.conj(i_f))
     s_t = np.abs(vt * np.conj(i_t))
     return np.maximum(s_f, s_t) * net.base_mva
+
+
+def objective(price_p, price_q, injected, p_loss, p_s, q_s):
+    """Objective ``f = f1 - f2 - f3 - f4`` and its terms: wind revenue and
+    the costs of losses, of active imports and of reactive imports. Works
+    on floats or (K,) arrays; pass prices prorated for part of a horizon.
+    """
+    f1 = price_p * injected
+    f2 = price_p * p_loss
+    f3 = price_p * p_s
+    f4 = price_q * q_s
+    return f1 - f2 - f3 - f4, f1, f2, f3, f4
+
+
+def limit_margins(net: Network, p_s, q_s, v: np.ndarray,
+                  flows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value of every operating constraint and its margin to the nearer
+    bound, each (K, constraints), in ``net.limit_bounds`` order. A
+    negative margin is a violation."""
+    _, lower, upper = net.limit_bounds
+    values = np.concatenate([np.hypot(p_s, q_s)[:, None], p_s[:, None],
+                             q_s[:, None], v[:, 1:], flows], axis=1)
+    return values, np.minimum(values - lower, upper - values)
 
 
 def solve_power_flow(net: Network, inj: InjectionSpec, *,
@@ -157,34 +243,23 @@ def solve_power_flow(net: Network, inj: InjectionSpec, *,
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    n = net.n_buses
     if y is None:
         y = build_admittance(net)
-    pq = np.arange(1, n)
-    p_pu = np.asarray(inj.p_mw, dtype=float) / net.base_mva
-    q_pu = np.asarray(inj.q_mvar, dtype=float) / net.base_mva
-
-    if start is None:
-        v = np.full(n, net.slack_voltage)
-        theta = np.full(n, net.slack_angle)
-    else:
-        v = np.array(start[0], dtype=float)
-        theta = np.array(start[1], dtype=float)
-        v[0] = net.slack_voltage
-        theta[0] = net.slack_angle
-
-    iterations, res = _newton(y, p_pu, q_pu, pq, v, theta, tol, max_iter)
-
-    vc = v * np.exp(1j * theta)
-    s_slack = vc[0] * np.conj((y @ vc)[0])
-    p_s = float(s_slack.real) * net.base_mva
-    q_s = float(s_slack.imag) * net.base_mva
-    # balance identity: the slack covers demand minus wind plus losses
-    p_loss = p_s + float(np.sum(inj.p_mw[1:]))
+    p_mw = np.asarray(inj.p_mw, dtype=float)[None, :]
+    q_mvar = np.asarray(inj.q_mvar, dtype=float)[None, :]
+    v, theta = initial_state(net, 1, start)
+    converged, iterations, residual, singular = newton(
+        y, p_mw / net.base_mva, q_mvar / net.base_mva, v, theta,
+        tol, max_iter)
+    if singular[0]:
+        raise SingularJacobian(int(iterations[0]))
+    if not converged[0]:
+        raise NonConvergence(int(iterations[0]), float(residual[0]))
+    p_s, q_s, p_loss = slack_power(net, y, p_mw, v, theta)
     return PowerFlowSolution(
-        v=v, theta=theta, p_s=p_s, q_s=q_s, p_loss=p_loss,
-        flows=branch_flows(net, v, theta),
-        iterations=iterations, max_residual=res)
+        v=v[0], theta=theta[0], p_s=float(p_s[0]), q_s=float(q_s[0]),
+        p_loss=float(p_loss[0]), flows=branch_flows(net, v, theta)[0],
+        iterations=int(iterations[0]), max_residual=float(residual[0]))
 
 
 # --- operating-limit checks -------------------------------------------------
@@ -196,11 +271,7 @@ class ConstraintCheck:
     lower: float
     upper: float
     violated: bool
-
-    @property
-    def slack(self) -> float:
-        """Distance to the nearest bound; negative when violated."""
-        return min(self.value - self.lower, self.upper - self.value)
+    slack: float  # distance to the nearest bound; negative when violated
 
 
 @dataclass(frozen=True)
@@ -224,22 +295,13 @@ def check_limits(net: Network, sol: PowerFlowSolution,
     and per-branch apparent-flow limits. A constraint is flagged violated
     when it exceeds its bound by more than ``tol``.
     """
-    inf = float("inf")
-    checks: list[ConstraintCheck] = []
-
-    def add(name, value, lower, upper):
-        checks.append(ConstraintCheck(
-            name=name, value=value, lower=lower, upper=upper,
-            violated=(value < lower - tol or value > upper + tol)))
-
-    s_slack = float(np.hypot(sol.p_s, sol.q_s))
-    add("slack_apparent_mva", s_slack, -inf, net.s_s_max)
-    add("slack_active_mw", sol.p_s, 0.0, net.s_s_max)
-    add("slack_reactive_mvar", sol.q_s, 0.0, net.s_s_max)
-    for i, bus in enumerate(net.buses):
-        if bus.kind == "pq":
-            add(f"voltage_bus_{bus.id}", float(sol.v[i]), bus.v_min, bus.v_max)
-    for k, br in enumerate(net.branches):
-        add(f"flow_{br.from_bus}_{br.to_bus}", float(sol.flows[k]),
-            -inf, br.s_l_max)
-    return ConstraintReport(checks=tuple(checks))
+    names, lower, upper = net.limit_bounds
+    values, margins = limit_margins(net, np.array([sol.p_s]),
+                                    np.array([sol.q_s]), sol.v[None, :],
+                                    sol.flows[None, :])
+    return ConstraintReport(checks=tuple(
+        ConstraintCheck(name=name, value=val, lower=lo, upper=up,
+                        violated=mg < -tol, slack=mg)
+        for name, val, lo, up, mg in zip(names, values[0].tolist(),
+                                         lower.tolist(), upper.tolist(),
+                                         margins[0].tolist())))

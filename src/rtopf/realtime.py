@@ -13,17 +13,17 @@ from __future__ import annotations
 import csv
 import io
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .network import Network, build_admittance
-from .opf import HorizonInput, OPFOptions, OPFSolution, STATUS_OPTIMAL
-from .powerflow import (InjectionSpec, NonConvergence, PowerFlowError,
-                        PowerFlowSolution, check_limits, solve_power_flow)
-from .profiles import (DayProfiles, SLOTS_PER_DAY, UPDATES_PER_SLOT,
-                       validate_profiles)
+from .opf import HorizonInput, OPFOptions, STATUS_OPTIMAL
+from .powerflow import (InjectionSpec, PowerFlowError, PowerFlowSolution,
+                        check_limits, injections, objective,
+                        solve_power_flow)
+from .profiles import DayProfiles, SLOTS_PER_DAY, validate_profiles
 from .scenarios import (LevelWidths, LookupTable, WindLevels,
                         build_lookup_table, enumerate_scenarios, make_levels,
                         scenario_index)
@@ -147,24 +147,12 @@ def apply_and_realize(net: Network,
                       start=None):
     """Power flow at the realized injection beta*actual and the objective
     components prorated to one update interval."""
-    p = np.zeros(net.n_buses)
-    q = np.zeros(net.n_buses)
-    for bus, val in demand_p.items():
-        p[net.index_of(int(bus))] -= val
-    for bus, val in demand_q.items():
-        q[net.index_of(int(bus))] -= val
-    injected = 0.0
-    for st, b, a in zip(net.stations, beta, actual):
-        p[net.index_of(st.bus)] += b * a
-        injected += b * a
-    pf = solve_power_flow(net, InjectionSpec(p, q), y=y, start=start)
+    p, q, injected = injections(net, demand_p, demand_q, actual, [beta])
+    pf = solve_power_flow(net, InjectionSpec(p[0], q[0]), y=y, start=start)
     frac = timing.update / timing.horizon
-    f1 = price_p * frac * injected
-    f2 = price_p * frac * pf.p_loss
-    f3 = price_p * frac * pf.p_s
-    f4 = price_q * frac * pf.q_s
-    return pf, {"f": f1 - f2 - f3 - f4, "f1": f1, "f2": f2,
-                "f3": f3, "f4": f4}
+    terms = objective(price_p * frac, price_q * frac, float(injected[0]),
+                      pf.p_loss, pf.p_s, pf.q_s)
+    return pf, dict(zip(("f", "f1", "f2", "f3", "f4"), terms))
 
 
 def run_day(net: Network, profiles: DayProfiles,

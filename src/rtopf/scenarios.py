@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .network import Network
-from .opf import (FAST_OPTS, HorizonInput, OPFOptions, OPFSolution,
-                  STATUS_FAILURE, solve_opf)
+from .opf import (HorizonInput, OPFOptions, OPFSolution, STATUS_FAILURE,
+                  solve_opf)
 
 LEVEL_LABELS = ("H3", "H2", "H1", "M", "L1", "L2", "L3")
 DEFAULT_DEADLINE_S = 112.0
@@ -55,11 +55,7 @@ class LevelWidths:
 @dataclass(frozen=True)
 class WindLevels:
     """Seven wind values per station, ordered [H3, H2, H1, M, L1, L2, L3]."""
-    station_buses: tuple[int, ...]
     values: tuple[tuple[float, ...], ...]  # MW, one 7-tuple per station
-
-    def for_station(self, pos: int) -> tuple[float, ...]:
-        return self.values[pos]
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,7 @@ def make_levels(forecast: Sequence[float],
         raw = (m + w.dp3, m + w.dp2, m + w.dp1, m,
                m - w.dp1, m - w.dp2, m - w.dp3)
         values.append(tuple(min(r, max(0.0, x)) for x in raw))
-    return WindLevels(station_buses=tuple(), values=tuple(values))
+    return WindLevels(values=tuple(values))
 
 
 def scenario_index(positions: Sequence[int], n_levels: int = 7) -> int:

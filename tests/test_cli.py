@@ -78,6 +78,20 @@ def test_infeasible_exit_code(tmp_path):
                  "--out", "/dev/null"]) == 4
 
 
+def test_non_finite_horizon_input_is_invalid(tmp_path, capsys):
+    for field, value in (("demand_p", {"41": float("nan")}),
+                         ("price_q", float("nan"))):
+        data = {"demand_p": {"41": 1.0}, "demand_q": {"41": 0.3},
+                "wind_available": {"2": 1.0, "16": 1.0},
+                "price_p": 1.67, "price_q": 0.4}
+        data[field] = value
+        bad = tmp_path / "h.json"
+        bad.write_text(json.dumps(data))
+        assert main(["solve-opf", "--fast", "--input", str(bad),
+                     "--out", "/dev/null"]) == 3
+        assert "finite" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

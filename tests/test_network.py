@@ -83,6 +83,12 @@ def test_non_numeric_value_rejected():
     case["branches"][0]["resistance"] = "high"
     with pytest.raises(CaseFileError, match="expected a number"):
         network_from_dict(case)
+    for key in ("resistance", "reactance", "s_l_max"):
+        for bad in (float("nan"), float("inf")):
+            case = minimal_case()
+            case["branches"][0][key] = bad
+            with pytest.raises(CaseFileError, match="expected a number"):
+                network_from_dict(case)
 
 
 def test_invalid_json_reported_with_line(tmp_path):

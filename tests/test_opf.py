@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtopf.opf import (FAST_OPTS, HorizonInput, OPFOptions, STATUS_FAILURE,
                        STATUS_INFEASIBLE, STATUS_OPTIMAL, evaluate_objective,
@@ -28,6 +30,18 @@ def test_input_validation():
         make_input(net, {2: 1.0}, {3: 99.0}).validated(net)
     with pytest.raises(ValueError, match="prices"):
         make_input(net, {2: 1.0}, {3: 1.0}, price_p=-1.0).validated(net)
+    nan = float("nan")
+    with pytest.raises(ValueError, match="non-finite demand"):
+        make_input(net, {2: nan}, {3: 1.0}).validated(net)
+    with pytest.raises(ValueError, match="non-finite demand"):
+        make_input(net, {2: float("inf")}, {3: 1.0}).validated(net)
+    with pytest.raises(ValueError, match="outside"):
+        make_input(net, {2: 1.0}, {3: nan}).validated(net)
+    with pytest.raises(ValueError, match="prices"):
+        make_input(net, {2: 1.0}, {3: 1.0}, price_q=nan).validated(net)
+    with pytest.raises(ValueError, match="prices"):
+        make_input(net, {2: 1.0}, {3: 1.0},
+                   price_p=float("inf")).validated(net)
 
 
 def test_objective_decomposition_identity():
@@ -39,6 +53,17 @@ def test_objective_decomposition_identity():
     assert bd.f2 == pytest.approx(1.67 * bd.power_flow.p_loss, abs=1e-12)
     assert bd.f3 == pytest.approx(1.67 * bd.power_flow.p_s, abs=1e-12)
     assert bd.f4 == pytest.approx(0.4 * bd.power_flow.q_s, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_objective_depends_only_on_slack_imports(net41, horizon1, b1, b2):
+    # f1 - f2 - f3 = c_p * (D - 2 p_s) by the balance p_loss = p_s + W - D
+    bd = evaluate_objective(net41, horizon1, [b1, b2])
+    demand = sum(horizon1.demand_p.values())
+    expected = (horizon1.price_p * (demand - 2.0 * bd.power_flow.p_s)
+                - horizon1.price_q * bd.power_flow.q_s)
+    assert bd.f == pytest.approx(expected, rel=1e-9)
 
 
 def test_evaluate_objective_rejects_beta_outside_box():
@@ -150,7 +175,7 @@ def test_infeasible_when_voltage_band_unreachable():
 
 def test_failure_status_when_budget_too_small():
     net = one_station_net()
-    tiny = OPFOptions(max_evals=5, coarse_grid=2, pg_iters=0)
+    tiny = OPFOptions(max_evals=5, coarse_grid=2)
     sol = solve_opf(net, make_input(net, {2: 3.0}, {3: 8.0}), tiny)
     assert sol.status == STATUS_FAILURE
     assert "budget" in sol.message

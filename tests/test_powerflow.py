@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from rtopf.powerflow import (InjectionSpec, NonConvergence, check_limits,
-                             solve_power_flow)
+from rtopf.network import build_admittance
+from rtopf.powerflow import (DEFAULT_MAX_ITER, DEFAULT_TOL, InjectionSpec,
+                             NonConvergence, check_limits, initial_state,
+                             newton, solve_power_flow)
 
 from conftest import chain_net, random_radial_net
 from oracles import gauss_seidel_power_flow
@@ -166,3 +168,32 @@ def test_check_limits_tolerance_absorbs_tiny_violations():
     # p_s is a hair above/below zero; a loose tolerance must not flag it
     report = check_limits(net, sol, tol=1.0)
     assert report.ok
+
+
+def test_batch_matches_separate_solves_bitwise(net41):
+    rng = np.random.default_rng(7)
+    specs = []
+    for _ in range(6):
+        buses = rng.choice(np.arange(2, 42), size=8, replace=False)
+        specs.append(injections(
+            net41, {int(b): float(rng.uniform(-1.5, 0.5)) for b in buses},
+            {int(b): float(rng.uniform(-0.5, 0.1)) for b in buses}))
+    # one case far beyond loadability, which must not disturb the others
+    specs.insert(3, injections(net41, {41: -900.0}))
+    y = build_admittance(net41)
+    p = np.array([s.p_mw for s in specs]) / net41.base_mva
+    q = np.array([s.q_mvar for s in specs]) / net41.base_mva
+    v, theta = initial_state(net41, len(specs))
+    converged, iterations, _, _ = newton(y, p, q, v, theta,
+                                         DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert not converged[3]
+    with pytest.raises(NonConvergence):
+        solve_power_flow(net41, specs[3])
+    for k, spec in enumerate(specs):
+        if k == 3:
+            continue
+        sol = solve_power_flow(net41, spec)
+        assert converged[k]
+        assert iterations[k] == sol.iterations
+        assert np.array_equal(v[k], sol.v)
+        assert np.array_equal(theta[k], sol.theta)
