@@ -80,7 +80,8 @@ def _load_horizon_input(path: str | None) -> HorizonInput:
                             for k, v in data["wind_available"].items()},
             price_p=float(data.get("price_p", DEFAULT_PRICE_P)),
             price_q=float(data.get("price_q", DEFAULT_PRICE_Q)))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
         raise InputError(f"horizon input: {exc}") from None
 
 
@@ -88,7 +89,10 @@ def _load_hours(path: str | None, default_name: str, key: str) -> list[float]:
     data = _load_json(path if path else _bundled(default_name), key)
     if key not in data:
         raise InputError(f"missing '{key}'")
-    return [float(x) for x in data[key]]
+    try:
+        return [float(x) for x in data[key]]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{key}: {exc}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -8,8 +8,8 @@ always bus 1 and its voltage is held at 1.0 pu, 0 rad.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Any, Mapping
 
@@ -79,6 +79,11 @@ class Network:
 
     # Derived data is computed on first use and kept; Network is immutable,
     # so this is safe. cached_property writes the instance dict directly.
+    # Pickles carry the fields only: the copy in a worker process rebuilds
+    # its own read-only caches, and the task payload stays small.
+    def __getstate__(self) -> dict[str, Any]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @cached_property
     def _bus_index(self) -> dict[int, int]:
         return {b.id: i for i, b in enumerate(self.buses)}
@@ -93,6 +98,22 @@ class Network:
         bsh = [1j * b.shunt_susceptance_total / 2.0 for b in self.branches]
         return (np.array(fidx, dtype=int), np.array(tidx, dtype=int),
                 np.array(ys, dtype=complex), np.array(bsh, dtype=complex))
+
+    @cached_property
+    def Y(self) -> np.ndarray:
+        """Bus admittance matrix (complex n x n, pu), read-only. Diagonals
+        collect series admittances plus half the branch charging at each
+        end; off-diagonals are the negated series admittances."""
+        y = np.zeros((self.n_buses, self.n_buses), dtype=complex)
+        for i, j, ys, ysh in zip(*self.branch_arrays):
+            y[[i, j, i, j], [j, i, i, j]] += [-ys, -ys, ys + ysh, ys + ysh]
+        y.flags.writeable = False
+        return y
+
+    @cached_property
+    def Z(self) -> np.ndarray | None:
+        """``zbus(self.Y)``, the factor all power flows on the network share."""
+        return zbus(self.Y)
 
     @cached_property
     def limit_bounds(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
@@ -217,8 +238,9 @@ def _num(obj: Mapping[str, Any], key: str, where: str, default=None) -> float:
     val = obj.get(key, default)
     if val is None:
         raise CaseFileError(f"{where}: missing field {key!r}")
+    # the bound also rejects NaN, inf and ints too large for a float
     if isinstance(val, bool) or not isinstance(val, (int, float)) \
-            or not math.isfinite(val):
+            or not abs(val) <= sys.float_info.max:
         raise CaseFileError(f"{where}.{key}: expected a number, got {val!r}")
     return float(val)
 
@@ -325,20 +347,17 @@ def save_network(net: Network, path) -> None:
 
 
 def build_admittance(net: Network) -> np.ndarray:
-    """Bus admittance matrix (complex N x N, per-unit) for pi-model branches.
+    """Bus admittance matrix for pi-model branches: the network's cached,
+    read-only ``net.Y``."""
+    return net.Y
 
-    Diagonals collect series admittances plus half the branch charging at
-    each end; off-diagonals are the negated series admittances.
-    """
-    n = net.n_buses
-    y = np.zeros((n, n), dtype=complex)
-    for br in net.branches:
-        i = net.index_of(br.from_bus)
-        j = net.index_of(br.to_bus)
-        ys = 1.0 / complex(br.resistance, br.reactance)
-        ysh = 1j * br.shunt_susceptance_total / 2.0
-        y[i, j] -= ys
-        y[j, i] -= ys
-        y[i, i] += ys + ysh
-        y[j, j] += ys + ysh
-    return y
+
+def zbus(y: np.ndarray) -> np.ndarray | None:
+    """Impedance matrix of the non-slack buses, ``inv(y[1:, 1:])``, read-only;
+    None when that block is singular."""
+    try:
+        z = np.linalg.inv(y[1:, 1:])
+    except np.linalg.LinAlgError:
+        return None
+    z.flags.writeable = False
+    return z

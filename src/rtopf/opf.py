@@ -9,7 +9,7 @@ against a brute-force grid oracle.
 
 The receding-horizon controller solves tens of thousands of these problems
 per simulated day, so the evaluator batches candidate points through the
-batched Newton power flow of ``rtopf.powerflow``.
+batched Z-bus power flow of ``rtopf.powerflow``.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .network import Network, build_admittance
-from .powerflow import (ConstraintReport, InjectionSpec, PowerFlowSolution,
-                        branch_flows, check_limits, initial_state,
-                        injections, limit_margins, newton, objective,
-                        slack_power, solve_power_flow)
+from .network import Network
+from .powerflow import (DEFAULT_TOL, ConstraintReport, InjectionSpec,
+                        PowerFlowSolution, branch_flows, check_limits,
+                        initial_state, injections, limit_margins, objective,
+                        slack_power, solve_power_flow, zbus_gauss)
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -95,7 +95,7 @@ class OPFOptions:
     coarse_grid: int = 7       # grid points per station for seeding
     polish_step: float = 0.05  # initial pattern-search step
     polish_step_min: float = 1e-6
-    pf_tol: float = 1e-8
+    pf_tol: float = DEFAULT_TOL
     pf_max_iter: int = 30
 
 
@@ -118,9 +118,9 @@ _FAILED_EVAL = _Eval(-math.inf, math.nan, False, False)
 
 
 class _Evaluator:
-    """Holds the admittance matrix and evaluates the objective at beta points.
+    """Evaluates the objective of one input at beta points.
 
-    All candidate points of a search phase go through one batched Newton
+    All candidate points of a search phase go through one batched power-flow
     solve. Batches warm-start from the last best converged state; the
     evaluation order is deterministic, so results do not depend on worker
     scheduling.
@@ -130,7 +130,8 @@ class _Evaluator:
         self.net = net
         self.inp = inp
         self.opts = opts
-        self.y = build_admittance(net)
+        self.demand = InjectionSpec.from_mappings(net, inp.demand_p,
+                                                  inp.demand_q)
         self.wind = _wind(net, inp)
         self.evals = 0
         self._warm = None
@@ -140,12 +141,11 @@ class _Evaluator:
         self.evals += k
         net, inp, opts = self.net, self.inp, self.opts
         beta = np.asarray(xs, dtype=float).reshape(k, -1)
-        p, q, injected = injections(net, inp.demand_p, inp.demand_q,
-                                    self.wind, beta)
+        p, q, injected = injections(net, self.demand, self.wind, beta)
         v, th = initial_state(net, k, self._warm)
-        ok, _, _, _ = newton(self.y, p / net.base_mva, q / net.base_mva,
-                             v, th, opts.pf_tol, opts.pf_max_iter)
-        p_s, q_s, p_loss = slack_power(net, self.y, p, v, th)
+        ok, _, _, _ = zbus_gauss(net.Y, p / net.base_mva, q / net.base_mva,
+                                 v, th, opts.pf_tol, opts.pf_max_iter, net.Z)
+        p_s, q_s, p_loss = slack_power(net, net.Y, p, v, th)
         _, margins = limit_margins(net, p_s, q_s, v,
                                    branch_flows(net, v, th))
         feas = ok & (margins >= -opts.tol_cons).all(axis=1)
@@ -168,7 +168,7 @@ class _Evaluator:
         """Re-solve at beta through the public path and attach the report."""
         bd = _breakdown(self.net, self.inp, beta, self.opts.tol_cons,
                         tol=self.opts.pf_tol, max_iter=self.opts.pf_max_iter,
-                        y=self.y, start=self._warm)
+                        start=self._warm)
         pf = bd.power_flow
         return OPFSolution(
             beta=tuple(float(b) for b in beta),
@@ -197,8 +197,8 @@ class ObjectiveBreakdown:
 def _breakdown(net: Network, inp: HorizonInput, beta, tol_cons: float,
                **pf_args) -> ObjectiveBreakdown:
     """Power flow, objective terms and limit report at one beta."""
-    p, q, injected = injections(net, inp.demand_p, inp.demand_q,
-                                _wind(net, inp), [beta])
+    demand = InjectionSpec.from_mappings(net, inp.demand_p, inp.demand_q)
+    p, q, injected = injections(net, demand, _wind(net, inp), [beta])
     pf = solve_power_flow(net, InjectionSpec(p[0], q[0]), **pf_args)
     terms = objective(inp.price_p, inp.price_q, float(injected[0]),
                       pf.p_loss, pf.p_s, pf.q_s)  # f, f1, f2, f3, f4

@@ -1,4 +1,4 @@
-"""Batched Newton-Raphson AC power flow (polar form), the objective and the
+"""Batched AC power flow (implicit Z-bus iteration), the objective and the
 operating-limit checks: the one evaluation kernel of the OPF and of the
 realized updates. Each function takes K cases as (K, n) arrays; a single
 power flow is K = 1.
@@ -14,9 +14,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .network import Network, build_admittance
+from .network import Network, zbus
 
-DEFAULT_TOL = 1e-8  # pu mismatch
+# pu mismatch. The iteration converges linearly, so a state is about as
+# accurate as this bound: at 1e-8 an OPF solution on case41 was reported at
+# p_s = -1.001e-6 MW, outside the 1e-6 MW tolerance of the bound p_s >= 0.
+DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50
 
 
@@ -36,7 +39,7 @@ class NonConvergence(PowerFlowError):
 class SingularJacobian(PowerFlowError):
     def __init__(self, iteration: int):
         self.iteration = iteration
-        super().__init__(f"singular Jacobian at iteration {iteration}")
+        super().__init__(f"singular Y[1:, 1:] at iteration {iteration}")
 
 
 @dataclass(frozen=True)
@@ -67,20 +70,20 @@ class PowerFlowSolution:
     max_residual: float  # pu
 
 
-def injections(net: Network, demand_p: Mapping[int, float],
-               demand_q: Mapping[int, float], wind,
+def injections(net: Network, demand: InjectionSpec, wind,
                beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bus injections in MW / Mvar for K curtailment vectors.
 
+    ``demand`` is the demand per bus (``InjectionSpec.from_mappings``),
     ``beta`` is (K, stations) and ``wind`` the available MW per station, in
     ``net.stations`` order. Demand enters negative and wind at unity power
     factor. Returns p and q, each (K, n), and the wind injected per case (K,).
     """
     w = np.asarray(beta, dtype=float) * np.asarray(wind, dtype=float)
-    p = np.repeat(-_per_bus(net, demand_p)[None, :], w.shape[0], axis=0)
+    p = np.repeat(-demand.p_mw[None, :], w.shape[0], axis=0)
     for j, st in enumerate(net.stations):
         p[:, net.index_of(st.bus)] += w[:, j]
-    q = np.repeat(-_per_bus(net, demand_q)[None, :], w.shape[0], axis=0)
+    q = np.repeat(-demand.q_mvar[None, :], w.shape[0], axis=0)
     return p, q, w.sum(axis=1)
 
 
@@ -103,77 +106,56 @@ def initial_state(net: Network, k: int, start=None):
     return v, theta
 
 
-def _currents(y: np.ndarray, vc: np.ndarray) -> np.ndarray:
+def _products(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     # one matrix-vector product per case, so that a case rounds the same
     # whatever the batch size (a matrix-matrix product does not)
-    return np.matmul(y, vc[:, :, None])[:, :, 0]
+    return np.matmul(m, x[:, :, None])[:, :, 0]
 
 
-def newton(y: np.ndarray, p_pu: np.ndarray, q_pu: np.ndarray,
-           v: np.ndarray, theta: np.ndarray, tol: float, max_iter: int):
-    """Polar Newton iteration over K independent cases, (K, n) arrays.
+def zbus_gauss(y: np.ndarray, p_pu: np.ndarray, q_pu: np.ndarray,
+               v: np.ndarray, theta: np.ndarray, tol: float, max_iter: int,
+               z: np.ndarray | None):
+    """Implicit Z-bus iteration ``V_l <- Z·(conj(S_l / V_l) - Y_l0·V_0)``
+    over K independent cases, (K, n) arrays, taken as the correction
+    ``Z·conj(dS / V_l)`` by the power mismatch dS. ``z`` is ``zbus(y)``,
+    the cached ``net.Z`` when ``y`` is ``net.Y``, and None when ``y[1:, 1:]``
+    is singular.
 
-    Updates v and theta in place. Returns four (K,) arrays: converged, the
-    iteration count, the final max mismatch (pu), and whether the case
-    stopped on a singular Jacobian. A case also stops unconverged on a
-    non-finite mismatch or on a voltage magnitude stepped to <= 0 or a
-    non-finite value (residual inf).
+    Updates v and theta in place. Returns four (K,) arrays: converged (max
+    P/Q mismatch <= tol), the iteration count, the final max mismatch (pu),
+    and whether the case stopped on a singular ``y[1:, 1:]``. A case also
+    stops unconverged on a non-finite mismatch.
     """
-    k, n = v.shape
-    npq = n - 1
-    diag = np.arange(n)
-    active = np.ones(k, dtype=bool)
+    k = v.shape[0]
+    y_l = y[1:]
+    s_l = p_pu[:, 1:] + 1j * q_pu[:, 1:]
+    vc = v * np.exp(1j * theta)
     converged = np.zeros(k, dtype=bool)
     singular = np.zeros(k, dtype=bool)
     iterations = np.zeros(k, dtype=int)
     residual = np.zeros(k)
-    for it in range(max_iter + 1):
-        vc = v * np.exp(1j * theta)
-        cur = _currents(y, vc)
-        s = vc * np.conj(cur)
-        dp = p_pu[:, 1:] - s.real[:, 1:]
-        dq = q_pu[:, 1:] - s.imag[:, 1:]
-        res = np.maximum(np.abs(dp).max(axis=1, initial=0.0),
-                         np.abs(dq).max(axis=1, initial=0.0))
-        iterations[active] = it
-        residual[active] = res[active]
-        converged |= active & (res <= tol)
-        active &= ~converged & np.isfinite(res)
-        if not active.any() or it == max_iter:
-            break
-
-        # complex power sensitivities (standard polar-form formulas)
-        idx = np.nonzero(active)[0]
-        vca, cura, va = vc[idx], cur[idx], v[idx]
-        m = -(y[None, :, :] * vca[:, None, :])
-        m[:, diag, diag] += cura
-        ds_dth = 1j * vca[:, :, None] * np.conj(m)
-        vn = vca / va
-        ds_dvm = vca[:, :, None] * np.conj(y[None, :, :] * vn[:, None, :])
-        ds_dvm[:, diag, diag] += np.conj(cura) * vn
-        jac = np.empty((idx.size, 2 * npq, 2 * npq))
-        jac[:, :npq, :npq] = ds_dth.real[:, 1:, 1:]
-        jac[:, :npq, npq:] = ds_dvm.real[:, 1:, 1:]
-        jac[:, npq:, :npq] = ds_dth.imag[:, 1:, 1:]
-        jac[:, npq:, npq:] = ds_dvm.imag[:, 1:, 1:]
-        rhs = np.concatenate([dp[idx], dq[idx]], axis=1)
-        try:
-            step = np.linalg.solve(jac, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = np.zeros_like(rhs)
-            for r in range(idx.size):
-                try:
-                    step[r] = np.linalg.solve(jac[r], rhs[r])
-                except np.linalg.LinAlgError:
-                    singular[idx[r]] = True
-                    active[idx[r]] = False
-        theta[idx, 1:] += step[:, :npq]
-        v[idx, 1:] += step[:, npq:]
-        bad = idx[(v[idx, 1:] <= 0).any(axis=1)
-                  | ~np.isfinite(v[idx, 1:]).all(axis=1)]
-        active[bad] = False
-        iterations[bad] = it + 1
-        residual[bad] = np.inf
+    idx = np.arange(k)  # the cases still iterating
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(max_iter + 1):
+            va = vc[idx]
+            ds = s_l[idx] - va[:, 1:] * np.conj(_products(y_l, va))
+            # max over the P and the Q mismatches at once
+            res = np.abs(ds.view(float)).max(axis=1, initial=0.0)
+            iterations[idx] = it
+            residual[idx] = res
+            ok = res <= tol
+            converged[idx] = ok
+            go = ~ok & np.isfinite(res)
+            if it == max_iter or not go.any():
+                break
+            if z is None:
+                singular[idx[go]] = True
+                break
+            idx = idx[go]
+            vl = va[go, 1:]
+            vc[idx, 1:] = vl + _products(z, np.conj(ds[go] / vl))
+    v[:, 1:] = np.abs(vc[:, 1:])
+    theta[:, 1:] = np.angle(vc[:, 1:])
     return converged, iterations, residual, singular
 
 
@@ -184,7 +166,7 @@ def slack_power(net: Network, y: np.ndarray, p_mw: np.ndarray,
     follow from the balance: the slack covers demand minus wind plus losses.
     """
     vc = v * np.exp(1j * theta)
-    v0, i0 = vc[:, 0], _currents(y, vc)[:, 0]
+    v0, i0 = vc[:, 0], _products(y, vc)[:, 0]
     # S = V conj(I) in real arithmetic, each product rounded on its own
     # (numpy's vectorized complex product may fuse multiply-adds)
     p_s = (v0.real * i0.real + v0.imag * i0.imag) * net.base_mva
@@ -237,20 +219,22 @@ def solve_power_flow(net: Network, inj: InjectionSpec, *,
     """Solve the AC power-flow equations for the given injections.
 
     ``start`` is None for a flat start or a ``(v, theta)`` pair for a warm
-    start. ``y`` optionally passes a precomputed admittance matrix.
+    start. ``y`` optionally passes an admittance matrix: the network's own
+    ``net.Y`` (the default) uses its cached factor ``net.Z``, and any other
+    matrix is factored for this call.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if y is None:
-        y = build_admittance(net)
+        y = net.Y
     p_mw = np.asarray(inj.p_mw, dtype=float)[None, :]
     q_mvar = np.asarray(inj.q_mvar, dtype=float)[None, :]
     v, theta = initial_state(net, 1, start)
-    converged, iterations, residual, singular = newton(
+    converged, iterations, residual, singular = zbus_gauss(
         y, p_mw / net.base_mva, q_mvar / net.base_mva, v, theta,
-        tol, max_iter)
+        tol, max_iter, net.Z if y is net.Y else zbus(y))
     if singular[0]:
         raise SingularJacobian(int(iterations[0]))
     if not converged[0]:

@@ -193,7 +193,10 @@ def _series_from_lists(data, name: str, count: int) -> dict[int, np.ndarray]:
         raise ProfileError(f"{name}: expected an object of bus -> series")
     out = {}
     for bus, vals in data.items():
-        arr = np.asarray(vals, dtype=float)
+        try:
+            arr = np.asarray(vals, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ProfileError(f"{name}[{bus}]: {exc}") from None
         if arr.shape != (count,):
             raise ProfileError(
                 f"{name}[{bus}]: expected {count} values, got {arr.shape}")

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .network import Network, build_admittance
+from .network import Network
 from .opf import HorizonInput, OPFOptions, STATUS_OPTIMAL
 from .powerflow import (InjectionSpec, PowerFlowError, PowerFlowSolution,
                         check_limits, injections, objective,
@@ -147,7 +147,8 @@ def apply_and_realize(net: Network,
                       start=None):
     """Power flow at the realized injection beta*actual and the objective
     components prorated to one update interval."""
-    p, q, injected = injections(net, demand_p, demand_q, actual, [beta])
+    demand = InjectionSpec.from_mappings(net, demand_p, demand_q)
+    p, q, injected = injections(net, demand, actual, [beta])
     pf = solve_power_flow(net, InjectionSpec(p[0], q[0]), y=y, start=start)
     frac = timing.update / timing.horizon
     terms = objective(price_p * frac, price_q * frac, float(injected[0]),
@@ -180,7 +181,6 @@ def run_day(net: Network, profiles: DayProfiles,
     total = SLOTS_PER_DAY if n_horizons is None else n_horizons
     forecast_pos = tuple([4] * len(station_buses))  # the all-M scenario
 
-    y = build_admittance(net)
     records: list[TraceRecord] = []
     summary = DaySummary()
     prev_table: LookupTable | None = None
@@ -241,7 +241,7 @@ def run_day(net: Network, profiles: DayProfiles,
                 try:
                     pf, comps = apply_and_realize(
                         net, demand_p, demand_q, actual, beta,
-                        price_p, price_q, timing, y=y, start=warm)
+                        price_p, price_q, timing, start=warm)
                     warm = (pf.v, pf.theta)
                     violations = len(check_limits(net, pf).violations)
                 except PowerFlowError as exc:

@@ -4,6 +4,8 @@ import pytest
 
 from rtopf.cli import main
 
+from conftest import DATA
+
 
 def test_solve_opf_bundled_defaults(capsys):
     assert main(["solve-opf", "--fast"]) == 0
@@ -90,6 +92,35 @@ def test_non_finite_horizon_input_is_invalid(tmp_path, capsys):
         assert main(["solve-opf", "--fast", "--input", str(bad),
                      "--out", "/dev/null"]) == 3
         assert "finite" in capsys.readouterr().err
+
+
+def test_numbers_beyond_float_range_are_invalid(tmp_path, capsys):
+    huge = 10 ** 400  # a JSON integer that no float can hold
+    case = json.loads((DATA / "case41.json").read_text())
+    case["meta"]["s_s_max"] = huge
+    horizon = json.loads((DATA / "horizon1.json").read_text())
+    horizon["demand_p"]["41"] = huge
+    priced = dict(horizon, price_p=huge)
+    shape = {"hourly_shape": [huge] * 24}
+    day = tmp_path / "day.json"
+    assert main(["gen-profiles", "--seed", "1", "--out", str(day)]) == 0
+    bundle = json.loads(day.read_text())
+    bundle["demand_p"]["4"][0] = huge
+    runs = []
+    for name, data, args in (
+            ("case.json", case, ["solve-opf", "--fast", "--case"]),
+            ("demand.json", horizon, ["solve-opf", "--fast", "--input"]),
+            ("price.json", priced, ["solve-opf", "--fast", "--input"]),
+            ("shape.json", shape, ["gen-profiles", "--out",
+                                   str(tmp_path / "out.json"),
+                                   "--demand-shape"]),
+            ("bundle.json", bundle, ["simulate", "--horizons", "1",
+                                     "--profiles"])):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        runs.append(main(args + [str(path)]))
+        assert "error:" in capsys.readouterr().err
+    assert runs == [3, 3, 3, 3, 3]
 
 
 def test_unknown_subcommand_rejected():

@@ -84,7 +84,7 @@ def test_non_numeric_value_rejected():
     with pytest.raises(CaseFileError, match="expected a number"):
         network_from_dict(case)
     for key in ("resistance", "reactance", "s_l_max"):
-        for bad in (float("nan"), float("inf")):
+        for bad in (float("nan"), float("inf"), 10 ** 400):
             case = minimal_case()
             case["branches"][0][key] = bad
             with pytest.raises(CaseFileError, match="expected a number"):

@@ -1,10 +1,14 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from rtopf.network import build_admittance
 from rtopf.powerflow import (DEFAULT_MAX_ITER, DEFAULT_TOL, InjectionSpec,
                              NonConvergence, check_limits, initial_state,
-                             newton, solve_power_flow)
+                             solve_power_flow, zbus_gauss)
+from rtopf.powerflow import SingularJacobian
+from rtopf.powerflow import injections as inject
 
 from conftest import chain_net, random_radial_net
 from oracles import gauss_seidel_power_flow
@@ -105,6 +109,51 @@ def test_nonconvergence_beyond_loadability():
         solve_power_flow(net, injections(net, {2: -1000.0}))
 
 
+def test_singular_admittance_raises():
+    # the charging cancels the series admittance: Y[1:, 1:] is zero
+    net = chain_net(2, r=0.0, x=0.5, bsh=4.0)
+    with pytest.raises(SingularJacobian):
+        solve_power_flow(net, injections(net, {2: -1.0}))
+
+
+def test_case41_converges_fast_across_load_and_wind(net41, horizon1):
+    rated = [st.rated_power for st in net41.stations]
+    for scale in (0.5, 1.0, 2.0, 3.0):
+        demand = InjectionSpec.from_mappings(
+            net41, {b: scale * d for b, d in horizon1.demand_p.items()},
+            {b: scale * d for b, d in horizon1.demand_q.items()})
+        for wind in ([0.0] * len(rated), rated):
+            p, q, _ = inject(net41, demand, wind, [[1.0] * len(rated)])
+            sol = solve_power_flow(net41, InjectionSpec(p[0], q[0]))
+            assert sol.iterations <= 10
+            assert sol.max_residual <= 1e-10
+
+
+def test_admittance_is_cached_read_only(net41):
+    build_admittance(net41)
+    # a pickled copy, as a table build sends to its workers, leaves the
+    # caches behind and builds its own
+    copy = pickle.loads(pickle.dumps(net41))
+    assert "Y" not in vars(copy) and "Z" not in vars(copy)
+    for net in (net41, copy):
+        y = build_admittance(net)
+        assert build_admittance(net) is y
+        assert np.array_equal(y, net41.Y)
+        assert not y.flags.writeable and not net.Z.flags.writeable
+        with pytest.raises(ValueError):
+            y[0, 0] = 0.0
+
+
+def test_other_admittance_is_factored_for_the_call():
+    net, other = chain_net(3, r=0.01, x=0.02), chain_net(3, r=0.02, x=0.05)
+    inj = injections(net, {2: -1.0, 3: -2.0}, {3: -0.5})
+    sol = solve_power_flow(net, inj, y=build_admittance(other))
+    ref = solve_power_flow(other, inj)
+    assert np.array_equal(sol.v, ref.v)
+    assert np.array_equal(sol.theta, ref.theta)
+    assert sol.v[2] < solve_power_flow(net, inj).v[2]
+
+
 def test_input_validation():
     net = chain_net(2)
     inj = injections(net, {})
@@ -184,8 +233,9 @@ def test_batch_matches_separate_solves_bitwise(net41):
     p = np.array([s.p_mw for s in specs]) / net41.base_mva
     q = np.array([s.q_mvar for s in specs]) / net41.base_mva
     v, theta = initial_state(net41, len(specs))
-    converged, iterations, _, _ = newton(y, p, q, v, theta,
-                                         DEFAULT_TOL, DEFAULT_MAX_ITER)
+    converged, iterations, _, _ = zbus_gauss(y, p, q, v, theta,
+                                             DEFAULT_TOL, DEFAULT_MAX_ITER,
+                                             net41.Z)
     assert not converged[3]
     with pytest.raises(NonConvergence):
         solve_power_flow(net41, specs[3])
