@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .network import CaseFileError, Network, NetworkValidationError, \
     load_network
-from .opf import (FAST_OPTS, HorizonInput, OPFSolution, STATUS_INFEASIBLE,
+from .opf import (HorizonInput, OPFSolution, STATUS_INFEASIBLE,
                   STATUS_OPTIMAL, oracle_opf, solve_opf)
 from .profiles import (ProfileError, ProfileGenConfig, gen_day_profiles,
                        load_profiles, save_profiles)
@@ -122,7 +122,7 @@ def _cmd_solve_opf(args) -> int:
     if args.oracle:
         sol = oracle_opf(net, inp, grid_points=args.grid_points)
     else:
-        sol = solve_opf(net, inp, FAST_OPTS if args.fast else None)
+        sol = solve_opf(net, inp)
     _write_text(args.out, _sol_lines(sol, net))
     if sol.status == STATUS_INFEASIBLE:
         return EXIT_INFEASIBLE
@@ -140,8 +140,7 @@ def _cmd_build_table(args) -> int:
     levels = make_levels(forecast, None, rated)
     table = build_lookup_table(
         net, inp, enumerate_scenarios(levels), levels,
-        workers=args.workers, deadline=args.deadline,
-        opts=FAST_OPTS if args.fast else None)
+        workers=args.workers, deadline=args.deadline)
     _write_text(args.out, table_to_csv(table, station_buses))
     print(f"built {table.n_rows} rows in {table.build_duration:.1f} s "
           f"(deadline {'met' if table.deadline_met else 'MISSED'})",
@@ -192,7 +191,6 @@ def _cmd_simulate(args) -> int:
     run = run_day(net, profiles, timing=timing,
                   workers=args.workers,
                   price_p=args.price_p, price_q=args.price_q,
-                  opts=None if args.full_opts else FAST_OPTS,
                   n_horizons=args.horizons,
                   enforce_deadline=args.enforce_deadline,
                   table_sink=sink)
@@ -218,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-opf", help="solve one scenario OPF")
     add_case(p)
     p.add_argument("--input", help="horizon input JSON (default: bundled)")
-    p.add_argument("--fast", action="store_true",
-                   help="use the receding-horizon solver options")
     p.add_argument("--oracle", action="store_true",
                    help="use the brute-force grid solver instead")
     p.add_argument("--grid-points", type=int, default=21)
@@ -232,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--deadline", type=float, default=112.0,
                    help="compute budget in seconds")
-    p.add_argument("--fast", action="store_true")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_build_table)
 
@@ -257,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline", type=float, default=112.0)
     p.add_argument("--enforce-deadline", action="store_true",
                    help="fall back to the previous table on budget overrun")
-    p.add_argument("--full-opts", action="store_true",
-                   help="solve each row at full polish resolution")
     p.add_argument("--price-p", type=float, default=DEFAULT_PRICE_P)
     p.add_argument("--price-q", type=float, default=DEFAULT_PRICE_Q)
     p.add_argument("--trace", help="write the per-update trace CSV here")

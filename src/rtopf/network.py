@@ -119,7 +119,8 @@ class Network:
     def limit_bounds(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         """Name, lower and upper bound of every operating constraint: slack
         apparent, active and reactive power, each PQ-bus voltage (every bus
-        after the slack), then each branch flow."""
+        after the slack), then each branch flow. The bound arrays are
+        read-only; every ``ConstraintReport`` shares them."""
         inf = float("inf")
         rows = [("slack_apparent_mva", -inf, self.s_s_max),
                 ("slack_active_mw", 0.0, self.s_s_max),
@@ -129,7 +130,9 @@ class Network:
         rows += [(f"flow_{br.from_bus}_{br.to_bus}", -inf, br.s_l_max)
                  for br in self.branches]
         names, lower, upper = zip(*rows)
-        return names, np.array(lower), np.array(upper)
+        lower, upper = np.array(lower), np.array(upper)
+        lower.flags.writeable = upper.flags.writeable = False
+        return names, lower, upper
 
     @property
     def station_buses(self) -> tuple[int, ...]:

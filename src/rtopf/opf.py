@@ -4,8 +4,16 @@ The objective is wind revenue minus the costs of grid losses and of active
 and reactive energy imported at the slack bus, subject to the AC power-flow
 equations, slack/voltage/feeder limits, and box bounds on the curtailment
 factors. With only a handful of decision variables (one per wind station),
-the solver is a seeded grid search with a pattern-search polish, certified
-against a brute-force grid oracle.
+the solver is a seeded pattern search, certified against a brute-force grid
+oracle.
+
+The search has one setting, the module constants below; ``OPFOptions``
+holds only the evaluation budget. Whenever the wind exceeds demand plus
+losses the optimum lies on the reverse-flow boundary p_s = 0, and one exact
+projection, ``_to_surface``, moves a point onto it. The projection pulls the
+fully-uncurtailed seed back to the boundary, turns a polish move that
+overshoots the boundary into a slide along it, and lands the final point on
+it from the import side.
 
 The receding-horizon controller solves tens of thousands of these problems
 per simulated day, so the evaluator batches candidate points through the
@@ -30,6 +38,16 @@ from .powerflow import (DEFAULT_TOL, ConstraintReport, InjectionSpec,
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_FAILURE = "solver_failure"
+
+TOL_OBJ = 1e-7          # minimum accepted search-step improvement
+TOL_CONS = 1e-6         # constraint-violation tolerance (MW, Mvar, pu, MVA)
+COARSE_GRID = 2         # seeding grid points per station
+POLISH_STEP = 0.25      # initial pattern-search step
+POLISH_STEP_MIN = 1e-2
+PF_TOL = DEFAULT_TOL
+PF_MAX_ITER = 30
+SURFACE_TOL = 1e-7      # MW; |p_s| of a point on the reverse-flow boundary
+SURFACE_SHIFTS = 4      # slack-imbalance shifts of one projection
 
 
 @dataclass(frozen=True)
@@ -89,21 +107,12 @@ class OPFSolution:
 
 @dataclass(frozen=True)
 class OPFOptions:
-    tol_obj: float = 1e-9      # minimum accepted search-step improvement
-    tol_cons: float = 1e-6     # constraint-violation tolerance
-    max_evals: int = 20000
-    coarse_grid: int = 7       # grid points per station for seeding
-    polish_step: float = 0.05  # initial pattern-search step
-    polish_step_min: float = 1e-6
-    pf_tol: float = DEFAULT_TOL
-    pf_max_iter: int = 30
+    max_evals: int = 4000  # evaluation budget of one solve
 
 
-# tuned-down options for the receding-horizon loop; same algorithm, coarser
-# seeding grid and polish resolution
-FAST_OPTS = OPFOptions(tol_obj=1e-7, coarse_grid=2,
-                       polish_step=0.25, polish_step_min=1e-2,
-                       max_evals=4000)
+# the options of the receding-horizon loop, kept as a name: the search has
+# one setting
+FAST_OPTS = OPFOptions()
 
 
 class _Eval(NamedTuple):
@@ -126,10 +135,9 @@ class _Evaluator:
     scheduling.
     """
 
-    def __init__(self, net: Network, inp: HorizonInput, opts: OPFOptions):
+    def __init__(self, net: Network, inp: HorizonInput):
         self.net = net
         self.inp = inp
-        self.opts = opts
         self.demand = InjectionSpec.from_mappings(net, inp.demand_p,
                                                   inp.demand_q)
         self.wind = _wind(net, inp)
@@ -139,16 +147,16 @@ class _Evaluator:
     def eval_many(self, xs: Sequence[np.ndarray]) -> list[_Eval]:
         k = len(xs)
         self.evals += k
-        net, inp, opts = self.net, self.inp, self.opts
+        net, inp = self.net, self.inp
         beta = np.asarray(xs, dtype=float).reshape(k, -1)
         p, q, injected = injections(net, self.demand, self.wind, beta)
         v, th = initial_state(net, k, self._warm)
         ok, _, _, _ = zbus_gauss(net.Y, p / net.base_mva, q / net.base_mva,
-                                 v, th, opts.pf_tol, opts.pf_max_iter, net.Z)
+                                 v, th, PF_TOL, PF_MAX_ITER, net.Z)
         p_s, q_s, p_loss = slack_power(net, net.Y, p, v, th)
         _, margins = limit_margins(net, p_s, q_s, v,
                                    branch_flows(net, v, th))
-        feas = ok & (margins >= -opts.tol_cons).all(axis=1)
+        feas = ok & (margins >= -TOL_CONS).all(axis=1)
         f = objective(inp.price_p, inp.price_q, injected, p_loss, p_s,
                       q_s)[0]
         score = np.where(feas, f, -math.inf)
@@ -166,9 +174,8 @@ class _Evaluator:
     def full_solution(self, beta: np.ndarray, status: str,
                       message: str = "") -> OPFSolution:
         """Re-solve at beta through the public path and attach the report."""
-        bd = _breakdown(self.net, self.inp, beta, self.opts.tol_cons,
-                        tol=self.opts.pf_tol, max_iter=self.opts.pf_max_iter,
-                        start=self._warm)
+        bd = _breakdown(self.net, self.inp, beta, TOL_CONS, tol=PF_TOL,
+                        max_iter=PF_MAX_ITER, start=self._warm)
         pf = bd.power_flow
         return OPFSolution(
             beta=tuple(float(b) for b in beta),
@@ -208,10 +215,11 @@ def _breakdown(net: Network, inp: HorizonInput, beta, tol_cons: float,
 
 def evaluate_objective(net: Network, inp: HorizonInput,
                        beta: Sequence[float],
-                       tol_cons: float = 1e-6) -> ObjectiveBreakdown:
+                       tol_cons: float = TOL_CONS) -> ObjectiveBreakdown:
     """Objective decomposition and constraint report at a fixed beta."""
     beta = np.asarray(beta, dtype=float)
-    if np.any(beta < -1e-12) or np.any(beta > 1 + 1e-12):
+    # written so that NaN fails it too
+    if not np.all((beta >= -1e-12) & (beta <= 1 + 1e-12)):
         raise ValueError("beta must lie in [0, 1] per station")
     return _breakdown(net, inp, beta, tol_cons)
 
@@ -224,22 +232,51 @@ def _failed(beta_len: int, status: str, evals: int,
                        status=status, evals=evals, message=message)
 
 
-def _rebalanced(ev: _Evaluator, xn: np.ndarray, p_s_short: float,
-                exclude: int | None = None):
-    """Retreat the wind injection by ``p_s_short`` MW so the slack balance
-    moves back to zero, taking the power from the station with the most
-    curtailable output. Returns the corrected point or None."""
-    need = p_s_short + 1e-9
-    room = ev.wind * xn
-    if exclude is not None:
-        room = room.copy()
-        room[exclude] = -1.0
-    k = int(np.argmax(room))
-    if room[k] <= 0 or need > room[k]:
-        return None
-    out = xn.copy()
-    out[k] -= need / ev.wind[k]
-    return out
+def _to_surface(ev: _Evaluator, points) -> list[tuple[np.ndarray, _Eval]]:
+    """Project points onto the reverse-flow boundary p_s = 0, in lockstep.
+
+    ``points`` holds (x, e, exclude) triples: a point, its evaluation, and a
+    station to leave out or None. A point's slack imbalance is shifted onto
+    the station with the most room in its direction (more wind while the
+    grid imports, less while it exports), which keeps taking the shifts
+    until its room runs out. The losses move with the injection, so the
+    shift repeats, scaled by the slack change per MW that the previous shift
+    measured, until |p_s| <= SURFACE_TOL; each round of shifts is one batch.
+    Returns (x, e) for every point that got there; a point whose power flow
+    fails, whose stations have no room, or that SURFACE_SHIFTS shifts do not
+    bring there is dropped.
+    """
+    done = []
+    todo = [(x, e, exclude, None, 1.0) for x, e, exclude in points]
+    for last in [False] * SURFACE_SHIFTS + [True]:
+        moves = []
+        for x, e, exclude, k, gain in todo:
+            if not e.converged:
+                continue
+            if abs(e.p_s) <= SURFACE_TOL:
+                done.append((x, e))
+                continue
+            room = ev.wind * ((1.0 - x) if e.p_s > 0 else x)
+            if exclude is not None:
+                room[exclude] = 0.0
+            if k is None or room[k] <= 0:
+                k, gain = int(np.argmax(room)), 1.0
+            if last or room[k] <= 0:
+                continue
+            xn = x.copy()
+            shift = math.copysign(min(abs(e.p_s) / gain, room[k]), e.p_s)
+            xn[k] = min(1.0, max(0.0, x[k] + shift / ev.wind[k]))
+            moves.append((xn, e, exclude, k, gain,
+                          (xn[k] - x[k]) * ev.wind[k]))
+        if not moves:
+            break
+        todo = []
+        for (xn, e, exclude, k, gain, mw), en in zip(
+                moves, ev.eval_many([m[0] for m in moves])):
+            if en.converged and mw != 0:
+                gain = min(2.0, max(0.5, (e.p_s - en.p_s) / mw))
+            todo.append((xn, en, exclude, k, gain))
+    return done
 
 
 def _moves(n: int, wind: np.ndarray):
@@ -259,21 +296,22 @@ def _moves(n: int, wind: np.ndarray):
     return out
 
 
-def _compass_polish(ev: _Evaluator, x: np.ndarray, fx: float,
-                    opts: OPFOptions):
+def _polish(ev: _Evaluator, x: np.ndarray, e: _Eval, max_evals: int):
     """Pattern search over coordinate and exchange moves, batch-evaluated.
 
-    Candidates that overshoot the reverse-flow boundary (slack active power
-    slightly negative) are pulled back onto it by an exact injection
-    retreat; this is what lets the search slide along the binding surface
+    A move that crosses the reverse-flow boundary (p_s < -SURFACE_TOL) is
+    replaced by its projection back onto it through the stations the move
+    did not raise, so raising one station slides along the binding surface
     instead of stalling against the infeasibility wall.
+    Returns the best point, its evaluation, and whether the step shrank
+    below POLISH_STEP_MIN within the budget.
     """
     moves = _moves(x.size, ev.wind)
-    step = opts.polish_step
-    while step >= opts.polish_step_min:
-        if ev.evals >= opts.max_evals:
-            return x, fx, False
-        cands = []
+    step = POLISH_STEP
+    while step >= POLISH_STEP_MIN:
+        if ev.evals >= max_evals:
+            return x, e, False
+        cands, raised = [], []
         for i, di, j, dj in moves:
             xn = x.copy()
             xn[i] = min(1.0, max(0.0, x[i] + di * step))
@@ -281,91 +319,31 @@ def _compass_polish(ev: _Evaluator, x: np.ndarray, fx: float,
                 xn[j] = min(1.0, max(0.0, x[j] + dj * step))
             if not np.array_equal(xn, x):
                 cands.append(xn)
+                raised.append(i if di > 0 else None)
         if not cands:
             step /= 2.0
             continue
-        results = ev.eval_many(cands)
-        extra = []
-        for xc, e in zip(cands, results):
-            if not math.isfinite(e.score) and e.converged and e.p_s < 0:
-                xr = _rebalanced(ev, xc, -e.p_s)
-                if xr is not None:
-                    extra.append(xr)
-        if extra:
-            cands += extra
-            results += ev.eval_many(extra)
-        best = None
-        for xc, e in zip(cands, results):
-            if e.score > fx + opts.tol_obj and (best is None
-                                                or e.score > best[1]):
-                best = (xc, e.score)
-        if best is not None:
-            x, fx = best
+        results, beyond = [], []
+        for xc, ec, i in zip(cands, ev.eval_many(cands), raised):
+            if ec.p_s < -SURFACE_TOL:
+                beyond.append((xc, ec, i))
+            else:
+                results.append((xc, ec))
+        results += _to_surface(ev, beyond)
+        xb, eb = max(results, key=lambda r: r[1].score,
+                     default=(x, e))  # the first maximum
+        if eb.score > e.score + TOL_OBJ:
+            x, e = xb, eb
         else:
             step /= 2.0
-    return x, fx, True
-
-
-def _push_to_surface(ev: _Evaluator, x: np.ndarray, fx: float,
-                     opts: OPFOptions):
-    """Advance the wind injection by the slack active-power surplus so the
-    point lands on the reverse-flow boundary, where the objective is
-    maximal in the high-wind regime. The surplus goes to the station with
-    the most headroom; a couple of iterations absorb the loss feedback."""
-    for _ in range(3):
-        e = ev(x)
-        if not e.feasible or e.p_s <= 10 * opts.tol_cons:
-            break
-        head = (1.0 - x) * ev.wind
-        k = int(np.argmax(head))
-        if head[k] <= 0:
-            break
-        xn = x.copy()
-        xn[k] = min(1.0, xn[k] + min(e.p_s, head[k]) / ev.wind[k])
-        en = ev(xn)
-        if not math.isfinite(en.score) and en.converged and en.p_s < 0:
-            xr = _rebalanced(ev, xn, -en.p_s)
-            if xr is None:
-                break
-            xn = xr
-            en = ev(xn)
-        if en.score <= fx:
-            break
-        x, fx = xn, en.score
-    return x, fx
-
-
-def _snap_to_bounds(ev: _Evaluator, x: np.ndarray, fx: float,
-                    opts: OPFOptions):
-    """Deterministic tie-break: a station sitting within 1% of fully
-    uncurtailed is pushed onto the bound (rebalancing the slack through the
-    other stations) whenever that costs nothing measurable. The objective
-    is flat along the binding surface, so the polished point can otherwise
-    end arbitrarily close to, but not at, beta = 1. The tie margin absorbs
-    the objective credit of a point hugging the constraint tolerance."""
-    tie = 1e-5 * max(1.0, abs(fx))
-    for i in range(x.size):
-        if x[i] == 1.0 or x[i] < 0.99 or ev.wind[i] <= 0:
-            continue
-        xn = x.copy()
-        xn[i] = 1.0
-        e = ev(xn)
-        if not math.isfinite(e.score) and e.converged and e.p_s < 0:
-            xr = _rebalanced(ev, xn, -e.p_s, exclude=i)
-            if xr is None:
-                continue
-            xn = xr
-            e = ev(xn)
-        if math.isfinite(e.score) and e.score >= fx - tie and xn[i] == 1.0:
-            x, fx = xn, max(fx, e.score)
-    return x, fx
+    return x, e, True
 
 
 def solve_opf(net: Network, inp: HorizonInput,
               opts: OPFOptions | None = None) -> OPFSolution:
     """Optimal curtailment factors for one scenario.
 
-    status 'optimal': all constraints hold within tol_cons and the
+    status 'optimal': all constraints hold within TOL_CONS and the
     objective is certified against oracle_opf in the test suite.
     status 'infeasible': no point of a dense per-station grid admits a
     violation-free converged power flow.
@@ -374,7 +352,7 @@ def solve_opf(net: Network, inp: HorizonInput,
     """
     opts = opts or OPFOptions()
     inp = inp.validated(net)
-    ev = _Evaluator(net, inp, opts)
+    ev = _Evaluator(net, inp)
     nst = len(net.stations)
 
     if nst == 0:
@@ -394,24 +372,18 @@ def solve_opf(net: Network, inp: HorizonInput,
             return _failed(nst, STATUS_INFEASIBLE, ev.evals,
                            "infeasible at every beta (zero wind)")
 
-    # coarse seeding grid, batch-evaluated, plus the fully-uncurtailed point
-    # pulled back onto the reverse-flow boundary (the usual optimum basin)
-    axis = np.linspace(0.0, 1.0, opts.coarse_grid)
+    # coarse seeding grid, batch-evaluated; the fully-uncurtailed point, if
+    # it exports, is pulled back onto the reverse-flow boundary (the usual
+    # optimum basin)
+    axis = np.linspace(0.0, 1.0, COARSE_GRID)
     grid = [np.array(c) for c in itertools.product(axis, repeat=nst)]
-    results = ev.eval_many(grid)
-    best_x, best_f = None, -math.inf
-    for xc, e in zip(grid, results):
-        if e.score > best_f:
-            best_x, best_f = xc, e.score
-    e_ones = results[-1]  # grid ends at (1, ..., 1)
-    if not math.isfinite(e_ones.score) and e_ones.converged and e_ones.p_s < 0:
-        xr = _rebalanced(ev, ones, -e_ones.p_s)
-        if xr is not None:
-            er = ev(xr)
-            if er.score > best_f:
-                best_x, best_f = xr, er.score
+    seeds = list(zip(grid, ev.eval_many(grid)))
+    e_ones = seeds[-1][1]  # grid ends at (1, ..., 1)
+    if e_ones.p_s < -SURFACE_TOL:
+        seeds[-1:] = _to_surface(ev, [(ones, e_ones, None)])
+    best_x, best_e = max(seeds, key=lambda s: s[1].score)
 
-    if best_x is None or not math.isfinite(best_f):
+    if not math.isfinite(best_e.score):
         # dense certification scan, early exit on the first feasible point
         dense = np.linspace(0.0, 1.0, 101)
         found = None
@@ -420,18 +392,20 @@ def solve_opf(net: Network, inp: HorizonInput,
             pts = [np.array(c) for c in chunk if c is not None]
             for xc, e in zip(pts, ev.eval_many(pts)):
                 if math.isfinite(e.score):
-                    found = (xc, e.score)
+                    found = (xc, e)
                     break
             if found:
                 break
         if found is None:
             return _failed(nst, STATUS_INFEASIBLE, ev.evals,
                            "no feasible point on the 101-per-station grid")
-        best_x, best_f = found
+        best_x, best_e = found
 
-    best_x, best_f, converged = _compass_polish(ev, best_x, best_f, opts)
-    best_x, best_f = _push_to_surface(ev, best_x, best_f, opts)
-    best_x, best_f = _snap_to_bounds(ev, best_x, best_f, opts)
+    best_x, best_e, converged = _polish(ev, best_x, best_e, opts.max_evals)
+    if best_e.p_s > SURFACE_TOL:  # land on the boundary from the import side
+        landed = _to_surface(ev, [(best_x, best_e, None)])
+        if landed and landed[0][1].score > best_e.score:
+            best_x, best_e = landed[0]
 
     if not converged:
         return ev.full_solution(best_x, STATUS_FAILURE,
@@ -441,8 +415,7 @@ def solve_opf(net: Network, inp: HorizonInput,
 
 
 def oracle_opf(net: Network, inp: HorizonInput,
-               grid_points: int = 21,
-               opts: OPFOptions | None = None) -> OPFSolution:
+               grid_points: int = 21) -> OPFSolution:
     """Brute-force grid search over beta with five local refinement passes.
 
     Independent verification path for solve_opf: evaluates the objective on
@@ -451,12 +424,11 @@ def oracle_opf(net: Network, inp: HorizonInput,
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    opts = opts or OPFOptions()
     inp = inp.validated(net)
     nst = len(net.stations)
     if nst > 3:
         raise ValueError("oracle grid is only tractable for <= 3 stations")
-    ev = _Evaluator(net, inp, opts)
+    ev = _Evaluator(net, inp)
     if nst == 0:
         if ev(np.zeros(0)).feasible:
             return ev.full_solution(np.zeros(0), STATUS_OPTIMAL)

@@ -258,17 +258,39 @@ class ConstraintCheck:
     slack: float  # distance to the nearest bound; negative when violated
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintReport:
-    checks: tuple[ConstraintCheck, ...]
+    """Every operating constraint at one solved state, as arrays in
+    ``net.limit_bounds`` order. A constraint is violated when its margin is
+    below ``-tol``; ``checks`` and ``violations`` build their
+    ``ConstraintCheck`` objects only when read."""
+    names: tuple[str, ...]
+    values: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    margins: np.ndarray
+    tol: float
+
+    def _checks(self, which) -> tuple[ConstraintCheck, ...]:
+        return tuple(
+            ConstraintCheck(name=self.names[i], value=float(self.values[i]),
+                            lower=float(self.lower[i]),
+                            upper=float(self.upper[i]),
+                            violated=bool(self.margins[i] < -self.tol),
+                            slack=float(self.margins[i]))
+            for i in which)
+
+    @property
+    def checks(self) -> tuple[ConstraintCheck, ...]:
+        return self._checks(range(len(self.names)))
 
     @property
     def violations(self) -> tuple[ConstraintCheck, ...]:
-        return tuple(c for c in self.checks if c.violated)
+        return self._checks(np.flatnonzero(self.margins < -self.tol))
 
     @property
     def ok(self) -> bool:
-        return not any(c.violated for c in self.checks)
+        return not (self.margins < -self.tol).any()
 
 
 def check_limits(net: Network, sol: PowerFlowSolution,
@@ -283,9 +305,5 @@ def check_limits(net: Network, sol: PowerFlowSolution,
     values, margins = limit_margins(net, np.array([sol.p_s]),
                                     np.array([sol.q_s]), sol.v[None, :],
                                     sol.flows[None, :])
-    return ConstraintReport(checks=tuple(
-        ConstraintCheck(name=name, value=val, lower=lo, upper=up,
-                        violated=mg < -tol, slack=mg)
-        for name, val, lo, up, mg in zip(names, values[0].tolist(),
-                                         lower.tolist(), upper.tolist(),
-                                         margins[0].tolist())))
+    return ConstraintReport(names=names, values=values[0], lower=lower,
+                            upper=upper, margins=margins[0], tol=tol)

@@ -8,7 +8,7 @@ from conftest import DATA
 
 
 def test_solve_opf_bundled_defaults(capsys):
-    assert main(["solve-opf", "--fast"]) == 0
+    assert main(["solve-opf"]) == 0
     out = capsys.readouterr().out
     assert "status: optimal" in out
     assert "beta[bus 2]:" in out
@@ -17,13 +17,13 @@ def test_solve_opf_bundled_defaults(capsys):
 
 def test_solve_opf_writes_report_file(tmp_path):
     out = tmp_path / "sol.txt"
-    assert main(["solve-opf", "--fast", "--out", str(out)]) == 0
+    assert main(["solve-opf", "--out", str(out)]) == 0
     assert "status: optimal" in out.read_text()
 
 
 def test_build_table_csv(tmp_path):
     out = tmp_path / "table.csv"
-    assert main(["build-table", "--fast", "--out", str(out)]) == 0
+    assert main(["build-table", "--out", str(out)]) == 0
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 50
     assert lines[0].startswith("index,scenario,")
@@ -76,7 +76,7 @@ def test_infeasible_exit_code(tmp_path):
         "demand_p": {"41": 500.0}, "demand_q": {"41": 150.0},
         "wind_available": {"2": 1.0, "16": 1.0},
         "price_p": 1.67, "price_q": 0.4}))
-    assert main(["solve-opf", "--fast", "--input", str(heavy),
+    assert main(["solve-opf", "--input", str(heavy),
                  "--out", "/dev/null"]) == 4
 
 
@@ -89,7 +89,7 @@ def test_non_finite_horizon_input_is_invalid(tmp_path, capsys):
         data[field] = value
         bad = tmp_path / "h.json"
         bad.write_text(json.dumps(data))
-        assert main(["solve-opf", "--fast", "--input", str(bad),
+        assert main(["solve-opf", "--input", str(bad),
                      "--out", "/dev/null"]) == 3
         assert "finite" in capsys.readouterr().err
 
@@ -108,9 +108,9 @@ def test_numbers_beyond_float_range_are_invalid(tmp_path, capsys):
     bundle["demand_p"]["4"][0] = huge
     runs = []
     for name, data, args in (
-            ("case.json", case, ["solve-opf", "--fast", "--case"]),
-            ("demand.json", horizon, ["solve-opf", "--fast", "--input"]),
-            ("price.json", priced, ["solve-opf", "--fast", "--input"]),
+            ("case.json", case, ["solve-opf", "--case"]),
+            ("demand.json", horizon, ["solve-opf", "--input"]),
+            ("price.json", priced, ["solve-opf", "--input"]),
             ("shape.json", shape, ["gen-profiles", "--out",
                                    str(tmp_path / "out.json"),
                                    "--demand-shape"]),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,10 @@ from hypothesis import strategies as st
 from rtopf.opf import (FAST_OPTS, HorizonInput, OPFOptions, STATUS_FAILURE,
                        STATUS_INFEASIBLE, STATUS_OPTIMAL, evaluate_objective,
                        oracle_opf, solve_opf)
+from rtopf.profiles import ProfileGenConfig, gen_day_profiles
+from rtopf.scenarios import enumerate_scenarios, make_levels
 
-from conftest import chain_net
+from conftest import DATA, chain_net
 
 
 def one_station_net(**kw):
@@ -69,8 +73,9 @@ def test_objective_depends_only_on_slack_imports(net41, horizon1, b1, b2):
 def test_evaluate_objective_rejects_beta_outside_box():
     net = one_station_net()
     inp = make_input(net, {2: 3.0}, {3: 2.0})
-    with pytest.raises(ValueError):
-        evaluate_objective(net, inp, [1.5])
+    for beta in ([1.5], [float("nan")]):
+        with pytest.raises(ValueError, match="beta"):
+            evaluate_objective(net, inp, beta)
 
 
 def test_wind_below_demand_runs_uncurtailed():
@@ -175,7 +180,7 @@ def test_infeasible_when_voltage_band_unreachable():
 
 def test_failure_status_when_budget_too_small():
     net = one_station_net()
-    tiny = OPFOptions(max_evals=5, coarse_grid=2)
+    tiny = OPFOptions(max_evals=5)
     sol = solve_opf(net, make_input(net, {2: 3.0}, {3: 8.0}), tiny)
     assert sol.status == STATUS_FAILURE
     assert "budget" in sol.message
@@ -204,9 +209,27 @@ def test_oracle_rejects_bad_grid_and_many_stations(net41, horizon1):
         oracle_opf(many, inp)
 
 
-def test_fast_options_track_default_options(net41, horizon1):
-    fast = solve_opf(net41, horizon1, FAST_OPTS)
-    full = solve_opf(net41, horizon1)
-    assert fast.status == full.status == STATUS_OPTIMAL
-    assert fast.f == pytest.approx(full.f, abs=1e-3 * max(1.0, abs(full.f)))
-    assert fast.evals < full.evals
+def test_polish_slides_along_the_reverse_flow_boundary(net41):
+    # day seed 0, slot 120, row 2 (H3/H2, about 9.24 and 9.23 MW): the
+    # optimum lies along p_s = 0, away from the seed, and a polish that
+    # undoes each raise instead of sliding exhausts its 4000 evaluations
+    with open(DATA / "hourly_demand_shape.json") as fh:
+        shape = json.load(fh)["hourly_shape"]
+    with open(DATA / "hourly_wind_base.json") as fh:
+        base = json.load(fh)["hourly_base_mw"]
+    day = gen_day_profiles(net41, shape, base, ProfileGenConfig(seed=0))
+    slot = 120
+    buses = [s.bus for s in net41.stations]
+    levels = make_levels([float(day.wind_forecast[b][slot]) for b in buses],
+                         None, [s.rated_power for s in net41.stations])
+    row = enumerate_scenarios(levels)[1]
+    assert row.level_choice == ("H3", "H2")
+    inp = HorizonInput(
+        demand_p={b: float(a[slot]) for b, a in day.demand_p.items()},
+        demand_q={b: float(a[slot]) for b, a in day.demand_q.items()},
+        wind_available=dict(zip(buses, row.wind)), price_p=1.67, price_q=0.4)
+    sol = solve_opf(net41, inp, FAST_OPTS)
+    assert sol.status == STATUS_OPTIMAL
+    assert sol.evals <= 500
+    assert abs(sol.p_s) < 1e-5
+    assert sol.report.ok

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtopf.opf import FAST_OPTS, HorizonInput
 from rtopf.profiles import (ProfileGenConfig, UPDATES_PER_SLOT,
@@ -52,6 +54,24 @@ def test_selection_is_conservative():
                 assert level >= a
                 if pos < 7:
                     assert levels.values[s][pos] < a
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 12.0)),
+                min_size=1, max_size=3))
+def test_selection_never_undershoots_unless_clamped(stations):
+    forecast = [f for f, _ in stations]
+    actual = [a for _, a in stations]
+    levels = make_levels(forecast, None, [10.0] * len(stations))
+    positions, clamped = select_positions(levels, actual)
+    for vals, a, pos in zip(levels.values, actual, positions):
+        if vals[pos - 1] < a:
+            # below the observation only as the flagged clamp to H3
+            assert clamped and pos == 1
+        elif pos < 7:
+            assert vals[pos] < a  # the deepest level still covering it
+    assert clamped == any(vals[0] < a
+                          for vals, a in zip(levels.values, actual))
 
 
 def test_select_scenario_indexes_the_table():

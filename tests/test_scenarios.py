@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtopf.opf import FAST_OPTS, HorizonInput, STATUS_OPTIMAL
 from rtopf.scenarios import (LEVEL_LABELS, LevelWidths, build_lookup_table,
@@ -58,6 +60,23 @@ def test_scenario_index_mixed_radix():
         scenario_index((0, 1))
     with pytest.raises(ValueError):
         scenario_index((1, 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=3))
+def test_scenario_index_is_a_bijection_in_enumeration_order(positions):
+    n = len(positions)
+    idx = scenario_index(positions)
+    assert 1 <= idx <= 7 ** n
+    digits, rest = [], idx - 1  # base-7 digits, most significant first
+    for _ in range(n):
+        rest, d = divmod(rest, 7)
+        digits.insert(0, d + 1)
+    assert digits == positions
+    scens = enumerate_scenarios(make_levels([5.0] * n, None, [10.0] * n))
+    assert [sc.index for sc in scens] == list(range(1, 7 ** n + 1))
+    assert scens[idx - 1].level_choice == tuple(LEVEL_LABELS[p - 1]
+                                                for p in positions)
 
 
 def test_enumerate_scenarios_order_and_labels():
