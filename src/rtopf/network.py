@@ -100,6 +100,14 @@ class Network:
                 np.array(ys, dtype=complex), np.array(bsh, dtype=complex))
 
     @cached_property
+    def station_index(self) -> np.ndarray:
+        """Bus index of each wind station, in station order, read-only."""
+        idx = np.array([self.index_of(s.bus) for s in self.stations],
+                       dtype=int)
+        idx.flags.writeable = False
+        return idx
+
+    @cached_property
     def Y(self) -> np.ndarray:
         """Bus admittance matrix (complex n x n, pu), read-only. Diagonals
         collect series admittances plus half the branch charging at each

@@ -8,16 +8,19 @@ the solver is a seeded pattern search, certified against a brute-force grid
 oracle.
 
 The search has one setting, the module constants below; ``OPFOptions``
-holds only the evaluation budget. Whenever the wind exceeds demand plus
-losses the optimum lies on the reverse-flow boundary p_s = 0, and one exact
-projection, ``_to_surface``, moves a point onto it. The projection pulls the
-fully-uncurtailed seed back to the boundary, turns a polish move that
-overshoots the boundary into a slide along it, and lands the final point on
-it from the import side.
+holds only the evaluation budget. Each polish round is one complete poll:
+every coordinate and exchange move at every step from POLISH_STEP down to
+POLISH_STEP_MIN goes into one batched evaluation, and the search stops when
+no move at any step improves the objective. Whenever the wind exceeds
+demand plus losses the optimum lies on the reverse-flow boundary p_s = 0,
+and one exact projection, ``_to_surface``, moves points onto it in
+lockstep. The projection pulls the fully-uncurtailed seed back to the
+boundary, turns the poll moves that overshoot the boundary into slides
+along it, and lands the final point on it from the import side.
 
 The receding-horizon controller solves tens of thousands of these problems
 per simulated day, so the evaluator batches candidate points through the
-batched Z-bus power flow of ``rtopf.powerflow``.
+batched Z-bus power flow of ``rtopf.powerflow``, on complex bus voltages.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import numpy as np
 from .network import Network
 from .powerflow import (DEFAULT_TOL, ConstraintReport, InjectionSpec,
                         PowerFlowSolution, branch_flows, check_limits,
-                        initial_state, injections, limit_margins, objective,
-                        slack_power, solve_power_flow, zbus_gauss)
+                        injections, limit_margins, objective, slack_power,
+                        solve_power_flow, zbus_iterate)
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -42,8 +45,8 @@ STATUS_FAILURE = "solver_failure"
 TOL_OBJ = 1e-7          # minimum accepted search-step improvement
 TOL_CONS = 1e-6         # constraint-violation tolerance (MW, Mvar, pu, MVA)
 COARSE_GRID = 2         # seeding grid points per station
-POLISH_STEP = 0.25      # initial pattern-search step
-POLISH_STEP_MIN = 1e-2
+POLISH_STEP = 0.25      # largest pattern-search step
+POLISH_STEP_MIN = 1e-2  # the poll halves the step down to this
 PF_TOL = DEFAULT_TOL
 PF_MAX_ITER = 30
 SURFACE_TOL = 1e-7      # MW; |p_s| of a point on the reverse-flow boundary
@@ -121,6 +124,7 @@ class _Eval(NamedTuple):
     p_s: float    # MW
     feasible: bool
     converged: bool
+    state: np.ndarray | None = None  # complex bus voltages (pu) if converged
 
 
 _FAILED_EVAL = _Eval(-math.inf, math.nan, False, False)
@@ -129,10 +133,10 @@ _FAILED_EVAL = _Eval(-math.inf, math.nan, False, False)
 class _Evaluator:
     """Evaluates the objective of one input at beta points.
 
-    All candidate points of a search phase go through one batched power-flow
-    solve. Batches warm-start from the last best converged state; the
-    evaluation order is deterministic, so results do not depend on worker
-    scheduling.
+    All candidate points of a search round go through one batched power-flow
+    solve. Batches warm-start from the last best converged state, kept as
+    complex bus voltages; the evaluation order is deterministic, so results
+    do not depend on worker scheduling.
     """
 
     def __init__(self, net: Network, inp: HorizonInput):
@@ -141,21 +145,23 @@ class _Evaluator:
         self.demand = InjectionSpec.from_mappings(net, inp.demand_p,
                                                   inp.demand_q)
         self.wind = _wind(net, inp)
+        self._q_pu = -self.demand.q_mvar / net.base_mva
         self.evals = 0
-        self._warm = None
+        self._warm = np.full(net.n_buses, net.slack_voltage
+                             * np.exp(1j * net.slack_angle))
 
     def eval_many(self, xs: Sequence[np.ndarray]) -> list[_Eval]:
         k = len(xs)
         self.evals += k
         net, inp = self.net, self.inp
         beta = np.asarray(xs, dtype=float).reshape(k, -1)
-        p, q, injected = injections(net, self.demand, self.wind, beta)
-        v, th = initial_state(net, k, self._warm)
-        ok, _, _, _ = zbus_gauss(net.Y, p / net.base_mva, q / net.base_mva,
-                                 v, th, PF_TOL, PF_MAX_ITER, net.Z)
-        p_s, q_s, p_loss = slack_power(net, net.Y, p, v, th)
-        _, margins = limit_margins(net, p_s, q_s, v,
-                                   branch_flows(net, v, th))
+        p, _, injected = injections(net, self.demand, self.wind, beta)
+        vc = np.repeat(self._warm[None, :], k, axis=0)
+        ok, _, _, _ = zbus_iterate(net.Y, p / net.base_mva + 1j * self._q_pu,
+                                   vc, PF_TOL, PF_MAX_ITER, net.Z)
+        p_s, q_s, p_loss = slack_power(net, net.Y, p, vc)
+        _, margins = limit_margins(net, p_s, q_s, np.abs(vc),
+                                   branch_flows(net, vc))
         feas = ok & (margins >= -TOL_CONS).all(axis=1)
         f = objective(inp.price_p, inp.price_q, injected, p_loss, p_s,
                       q_s)[0]
@@ -163,19 +169,20 @@ class _Evaluator:
         if ok.any():
             # the next batch starts from the best feasible point, or else
             # from the first converged one (argmax takes the first maximum)
-            best = int(np.argmax(score if feas.any() else ok))
-            self._warm = (v[best].copy(), th[best].copy())
-        return [_Eval(float(score[i]), float(p_s[i]), bool(feas[i]), True)
-                if ok[i] else _FAILED_EVAL for i in range(k)]
+            self._warm = vc[int(np.argmax(score if feas.any() else ok))]
+        return [_Eval(float(score[i]), float(p_s[i]), bool(feas[i]), True,
+                      vc[i]) if ok[i] else _FAILED_EVAL for i in range(k)]
 
     def __call__(self, x: np.ndarray) -> _Eval:
         return self.eval_many([x])[0]
 
-    def full_solution(self, beta: np.ndarray, status: str,
+    def full_solution(self, beta: np.ndarray, e: _Eval, status: str,
                       message: str = "") -> OPFSolution:
-        """Re-solve at beta through the public path and attach the report."""
+        """Re-solve at beta through the public path, starting from the state
+        of its converged evaluation ``e``, and attach the report."""
         bd = _breakdown(self.net, self.inp, beta, TOL_CONS, tol=PF_TOL,
-                        max_iter=PF_MAX_ITER, start=self._warm)
+                        max_iter=PF_MAX_ITER,
+                        start=(np.abs(e.state), np.angle(e.state)))
         pf = bd.power_flow
         return OPFSolution(
             beta=tuple(float(b) for b in beta),
@@ -296,33 +303,46 @@ def _moves(n: int, wind: np.ndarray):
     return out
 
 
-def _polish(ev: _Evaluator, x: np.ndarray, e: _Eval, max_evals: int):
-    """Pattern search over coordinate and exchange moves, batch-evaluated.
-
-    A move that crosses the reverse-flow boundary (p_s < -SURFACE_TOL) is
-    replaced by its projection back onto it through the stations the move
-    did not raise, so raising one station slides along the binding surface
-    instead of stalling against the infeasibility wall.
-    Returns the best point, its evaluation, and whether the step shrank
-    below POLISH_STEP_MIN within the budget.
-    """
-    moves = _moves(x.size, ev.wind)
+def _poll(x: np.ndarray, moves) -> tuple[list[np.ndarray], list]:
+    """Every move of ``_moves`` from x at every step POLISH_STEP,
+    POLISH_STEP/2, ... >= POLISH_STEP_MIN, largest step first, clipped to
+    the box; duplicates and x itself are left out. Returns the points and,
+    per point, the station its move raised (None for a lowering move)."""
+    seen = {tuple(x)}
+    cands, raised = [], []
     step = POLISH_STEP
     while step >= POLISH_STEP_MIN:
-        if ev.evals >= max_evals:
-            return x, e, False
-        cands, raised = [], []
         for i, di, j, dj in moves:
             xn = x.copy()
             xn[i] = min(1.0, max(0.0, x[i] + di * step))
             if j is not None:
                 xn[j] = min(1.0, max(0.0, x[j] + dj * step))
-            if not np.array_equal(xn, x):
+            key = tuple(xn)
+            if key not in seen:
+                seen.add(key)
                 cands.append(xn)
                 raised.append(i if di > 0 else None)
-        if not cands:
-            step /= 2.0
-            continue
+        step /= 2.0
+    return cands, raised
+
+
+def _polish(ev: _Evaluator, x: np.ndarray, e: _Eval, max_evals: int):
+    """Pattern search with a complete poll, one batch per round.
+
+    Each round evaluates every move of ``_poll`` (all steps at once) in one
+    kernel call. A move that crosses the reverse-flow boundary
+    (p_s < -SURFACE_TOL) is replaced by its projection back onto it through
+    the stations the move did not raise, so raising one station slides
+    along the binding surface instead of stalling against the infeasibility
+    wall; the crossers of a round are projected in lockstep. The search
+    moves to the best improver and stops when no move at any step improves
+    the score by more than TOL_OBJ.
+    Returns the best point, its evaluation, and whether a poll found no
+    improvement before the budget ran out.
+    """
+    moves = _moves(x.size, ev.wind)
+    while ev.evals < max_evals:
+        cands, raised = _poll(x, moves)
         results, beyond = [], []
         for xc, ec, i in zip(cands, ev.eval_many(cands), raised):
             if ec.p_s < -SURFACE_TOL:
@@ -332,11 +352,10 @@ def _polish(ev: _Evaluator, x: np.ndarray, e: _Eval, max_evals: int):
         results += _to_surface(ev, beyond)
         xb, eb = max(results, key=lambda r: r[1].score,
                      default=(x, e))  # the first maximum
-        if eb.score > e.score + TOL_OBJ:
-            x, e = xb, eb
-        else:
-            step /= 2.0
-    return x, e, True
+        if not eb.score > e.score + TOL_OBJ:
+            return x, e, True
+        x, e = xb, eb
+    return x, e, False
 
 
 def solve_opf(net: Network, inp: HorizonInput,
@@ -356,8 +375,9 @@ def solve_opf(net: Network, inp: HorizonInput,
     nst = len(net.stations)
 
     if nst == 0:
-        if ev(np.zeros(0)).feasible:
-            return ev.full_solution(np.zeros(0), STATUS_OPTIMAL)
+        e = ev(np.zeros(0))
+        if e.feasible:
+            return ev.full_solution(np.zeros(0), e, STATUS_OPTIMAL)
         return _failed(0, STATUS_INFEASIBLE, ev.evals,
                        "demand-only power flow violates limits")
 
@@ -366,8 +386,9 @@ def solve_opf(net: Network, inp: HorizonInput,
     degenerate = (not np.any(ev.wind > 0)) or (
         inp.price_p == 0 and inp.price_q == 0)
     if degenerate:
-        if ev(ones).feasible:
-            return ev.full_solution(ones, STATUS_OPTIMAL)
+        e = ev(ones)
+        if e.feasible:
+            return ev.full_solution(ones, e, STATUS_OPTIMAL)
         if not np.any(ev.wind > 0):
             return _failed(nst, STATUS_INFEASIBLE, ev.evals,
                            "infeasible at every beta (zero wind)")
@@ -408,10 +429,10 @@ def solve_opf(net: Network, inp: HorizonInput,
             best_x, best_e = landed[0]
 
     if not converged:
-        return ev.full_solution(best_x, STATUS_FAILURE,
+        return ev.full_solution(best_x, best_e, STATUS_FAILURE,
                                 f"evaluation budget exhausted before the "
                                 f"polish converged ({ev.evals} evals)")
-    return ev.full_solution(best_x, STATUS_OPTIMAL)
+    return ev.full_solution(best_x, best_e, STATUS_OPTIMAL)
 
 
 def oracle_opf(net: Network, inp: HorizonInput,
@@ -430,20 +451,21 @@ def oracle_opf(net: Network, inp: HorizonInput,
         raise ValueError("oracle grid is only tractable for <= 3 stations")
     ev = _Evaluator(net, inp)
     if nst == 0:
-        if ev(np.zeros(0)).feasible:
-            return ev.full_solution(np.zeros(0), STATUS_OPTIMAL)
+        e = ev(np.zeros(0))
+        if e.feasible:
+            return ev.full_solution(np.zeros(0), e, STATUS_OPTIMAL)
         return _failed(0, STATUS_INFEASIBLE, ev.evals,
                        "demand-only power flow violates limits")
 
     lo = np.zeros(nst)
     hi = np.ones(nst)
-    best_x, best_f = None, -math.inf
+    best_x, best_e = None, _FAILED_EVAL
     for _pass in range(6):  # initial grid + 5 refinements
         axes = [np.linspace(lo[i], hi[i], grid_points) for i in range(nst)]
         pts = [np.array(c) for c in itertools.product(*axes)]
         for xc, e in zip(pts, ev.eval_many(pts)):
-            if e.score > best_f:
-                best_x, best_f = xc, e.score
+            if e.score > best_e.score:
+                best_x, best_e = xc, e
         if best_x is None:
             return _failed(nst, STATUS_INFEASIBLE, ev.evals,
                            "every grid point violates constraints "
@@ -451,4 +473,4 @@ def oracle_opf(net: Network, inp: HorizonInput,
         half = (hi - lo) / 10.0
         lo = np.clip(best_x - half, 0.0, 1.0)
         hi = np.clip(best_x + half, 0.0, 1.0)
-    return ev.full_solution(best_x, STATUS_OPTIMAL)
+    return ev.full_solution(best_x, best_e, STATUS_OPTIMAL)

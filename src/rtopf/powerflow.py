@@ -81,8 +81,7 @@ def injections(net: Network, demand: InjectionSpec, wind,
     """
     w = np.asarray(beta, dtype=float) * np.asarray(wind, dtype=float)
     p = np.repeat(-demand.p_mw[None, :], w.shape[0], axis=0)
-    for j, st in enumerate(net.stations):
-        p[:, net.index_of(st.bus)] += w[:, j]
+    p[:, net.station_index] += w  # station buses are distinct
     q = np.repeat(-demand.q_mvar[None, :], w.shape[0], axis=0)
     return p, q, w.sum(axis=1)
 
@@ -115,57 +114,69 @@ def _products(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 def zbus_gauss(y: np.ndarray, p_pu: np.ndarray, q_pu: np.ndarray,
                v: np.ndarray, theta: np.ndarray, tol: float, max_iter: int,
                z: np.ndarray | None):
-    """Implicit Z-bus iteration ``V_l <- Z·(conj(S_l / V_l) - Y_l0·V_0)``
-    over K independent cases, (K, n) arrays, taken as the correction
-    ``Z·conj(dS / V_l)`` by the power mismatch dS. ``z`` is ``zbus(y)``,
-    the cached ``net.Z`` when ``y`` is ``net.Y``, and None when ``y[1:, 1:]``
-    is singular.
-
-    Updates v and theta in place. Returns four (K,) arrays: converged (max
-    P/Q mismatch <= tol), the iteration count, the final max mismatch (pu),
-    and whether the case stopped on a singular ``y[1:, 1:]``. A case also
-    stops unconverged on a non-finite mismatch.
-    """
-    k = v.shape[0]
-    y_l = y[1:]
-    s_l = p_pu[:, 1:] + 1j * q_pu[:, 1:]
+    """``zbus_iterate`` on a polar state: v and theta, (K, n) arrays, are
+    updated in place. Returns what ``zbus_iterate`` returns."""
     vc = v * np.exp(1j * theta)
+    out = zbus_iterate(y, p_pu + 1j * q_pu, vc, tol, max_iter, z)
+    v[:, 1:] = np.abs(vc[:, 1:])
+    theta[:, 1:] = np.angle(vc[:, 1:])
+    return out
+
+
+def zbus_iterate(y: np.ndarray, s_pu: np.ndarray, vc: np.ndarray,
+                 tol: float, max_iter: int, z: np.ndarray | None):
+    """Implicit Z-bus iteration ``V_l <- Z·(conj(S_l / V_l) - Y_l0·V_0)``
+    over K independent cases of complex bus voltages ``vc`` and specified
+    complex injections ``s_pu`` (slack entries ignored), (K, n) arrays,
+    taken as the correction ``Z·conj(dS / V_l)`` by the power mismatch dS.
+    ``z`` is ``zbus(y)``, the cached ``net.Z`` when ``y`` is ``net.Y``, and
+    None when ``y[1:, 1:]`` is singular.
+
+    Updates vc in place. Returns four (K,) arrays: converged (max P/Q
+    mismatch <= tol), the iteration count, the final max mismatch (pu), and
+    whether the case stopped on a singular ``y[1:, 1:]``. A case also stops
+    unconverged on a non-finite mismatch.
+    """
+    k = vc.shape[0]
+    y_l = y[1:]
     converged = np.zeros(k, dtype=bool)
     singular = np.zeros(k, dtype=bool)
     iterations = np.zeros(k, dtype=int)
     residual = np.zeros(k)
-    idx = np.arange(k)  # the cases still iterating
+    # the cases still iterating: their indices, states and injections; the
+    # arrays are sliced only when a case stops
+    idx, va, sa = np.arange(k), vc, s_pu[:, 1:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(max_iter + 1):
-            va = vc[idx]
-            ds = s_l[idx] - va[:, 1:] * np.conj(_products(y_l, va))
+            ds = sa - va[:, 1:] * np.conj(_products(y_l, va))
             # max over the P and the Q mismatches at once
             res = np.abs(ds.view(float)).max(axis=1, initial=0.0)
-            iterations[idx] = it
-            residual[idx] = res
             ok = res <= tol
-            converged[idx] = ok
             go = ~ok & np.isfinite(res)
-            if it == max_iter or not go.any():
-                break
-            if z is None:
-                singular[idx[go]] = True
-                break
-            idx = idx[go]
-            vl = va[go, 1:]
-            vc[idx, 1:] = vl + _products(z, np.conj(ds[go] / vl))
-    v[:, 1:] = np.abs(vc[:, 1:])
-    theta[:, 1:] = np.angle(vc[:, 1:])
+            if it == max_iter or z is None or not go.all():
+                iterations[idx] = it
+                residual[idx] = res
+                converged[idx] = ok
+                if va is not vc:
+                    vc[idx] = va
+                if it == max_iter or not go.any():
+                    break
+                if z is None:
+                    singular[idx[go]] = True
+                    break
+                idx, va, sa, ds = idx[go], va[go], sa[go], ds[go]
+            vl = va[:, 1:]
+            va[:, 1:] = vl + _products(z, np.conj(ds / vl))
     return converged, iterations, residual, singular
 
 
 def slack_power(net: Network, y: np.ndarray, p_mw: np.ndarray,
-                v: np.ndarray, theta: np.ndarray):
+                vc: np.ndarray):
     """Slack active and reactive power and the losses (MW, Mvar, MW), each
-    (K,), at K solved states with specified injections ``p_mw``. The losses
-    follow from the balance: the slack covers demand minus wind plus losses.
+    (K,), at K solved complex states ``vc`` with specified injections
+    ``p_mw``. The losses follow from the balance: the slack covers demand
+    minus wind plus losses.
     """
-    vc = v * np.exp(1j * theta)
     v0, i0 = vc[:, 0], _products(y, vc)[:, 0]
     # S = V conj(I) in real arithmetic, each product rounded on its own
     # (numpy's vectorized complex product may fuse multiply-adds)
@@ -174,12 +185,10 @@ def slack_power(net: Network, y: np.ndarray, p_mw: np.ndarray,
     return p_s, q_s, p_s + p_mw[:, 1:].sum(axis=1)
 
 
-def branch_flows(net: Network, v: np.ndarray,
-                 theta: np.ndarray) -> np.ndarray:
+def branch_flows(net: Network, vc: np.ndarray) -> np.ndarray:
     """Apparent power per branch in MVA, the larger of the two ends, for
-    (K, n) states; returns (K, branches)."""
+    (K, n) complex states; returns (K, branches)."""
     fidx, tidx, ys, bsh = net.branch_arrays
-    vc = v * np.exp(1j * theta)
     vf, vt = vc[:, fidx], vc[:, tidx]
     i_f = (vf - vt) * ys + vf * bsh
     i_t = (vt - vf) * ys + vt * bsh
@@ -239,10 +248,11 @@ def solve_power_flow(net: Network, inj: InjectionSpec, *,
         raise SingularJacobian(int(iterations[0]))
     if not converged[0]:
         raise NonConvergence(int(iterations[0]), float(residual[0]))
-    p_s, q_s, p_loss = slack_power(net, y, p_mw, v, theta)
+    vc = v * np.exp(1j * theta)
+    p_s, q_s, p_loss = slack_power(net, y, p_mw, vc)
     return PowerFlowSolution(
         v=v[0], theta=theta[0], p_s=float(p_s[0]), q_s=float(q_s[0]),
-        p_loss=float(p_loss[0]), flows=branch_flows(net, v, theta)[0],
+        p_loss=float(p_loss[0]), flows=branch_flows(net, vc)[0],
         iterations=int(iterations[0]), max_residual=float(residual[0]))
 
 

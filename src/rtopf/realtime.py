@@ -172,7 +172,8 @@ def run_day(net: Network, profiles: DayProfiles,
     slots 6h..6h+5. Wall-clock build durations are recorded per horizon;
     with ``enforce_deadline`` a budget overrun falls back to the previous
     horizon's table (stale-table policy), otherwise the overrun is only
-    counted.
+    counted. The first horizon has no previous table: its overrun is logged
+    and its late table used.
     """
     validate_profiles(profiles, net)
     station_buses = [s.bus for s in net.stations]
@@ -206,14 +207,18 @@ def run_day(net: Network, profiles: DayProfiles,
         summary.failed_rows += sum(1 for _, sol in table.rows
                                    if sol.status != STATUS_OPTIMAL)
         stale = False
-        if enforce_deadline and not table.deadline_met \
-                and prev_table is not None:
-            log.warning("horizon %d: build overran the budget "
-                        "(%.1f s); reusing the previous table",
-                        h, table.build_duration)
-            table = prev_table
-            stale = True
-            summary.stale_tables += 1
+        if enforce_deadline and not table.deadline_met:
+            if prev_table is None:
+                log.warning("horizon %d: build overran the budget "
+                            "(%.1f s) and there is no previous table; "
+                            "using the late table", h, table.build_duration)
+            else:
+                log.warning("horizon %d: build overran the budget "
+                            "(%.1f s); reusing the previous table",
+                            h, table.build_duration)
+                table = prev_table
+                stale = True
+                summary.stale_tables += 1
         if table_sink is not None:
             table_sink(table)
         prev_table = table

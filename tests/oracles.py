@@ -1,9 +1,9 @@
 """Independent verification paths used by the test suite.
 
-The Gauss-Seidel solver shares no code with the Newton implementation: it
-iterates the fixed-point voltage update bus by bus in rectangular form,
-straight from the definition of complex power. Slow but simple enough to
-audit by eye.
+The Gauss-Seidel solver shares no code with the Z-bus power-flow kernel of
+``rtopf.powerflow``: it iterates the fixed-point voltage update bus by bus
+in rectangular form, straight from the definition of complex power. Slow
+but simple enough to audit by eye.
 """
 
 import numpy as np

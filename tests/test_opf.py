@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtopf.opf import (FAST_OPTS, HorizonInput, OPFOptions, STATUS_FAILURE,
-                       STATUS_INFEASIBLE, STATUS_OPTIMAL, evaluate_objective,
-                       oracle_opf, solve_opf)
+from rtopf import opf
+from rtopf.opf import (FAST_OPTS, HorizonInput, OPFOptions, POLISH_STEP,
+                       POLISH_STEP_MIN, STATUS_FAILURE, STATUS_INFEASIBLE,
+                       STATUS_OPTIMAL, SURFACE_TOL, TOL_OBJ, _Evaluator,
+                       _moves, _to_surface, evaluate_objective, oracle_opf,
+                       solve_opf)
 from rtopf.profiles import ProfileGenConfig, gen_day_profiles
-from rtopf.scenarios import enumerate_scenarios, make_levels
+from rtopf.scenarios import (build_lookup_table, enumerate_scenarios,
+                             make_levels)
 
 from conftest import DATA, chain_net
 
@@ -233,3 +237,68 @@ def test_polish_slides_along_the_reverse_flow_boundary(net41):
     assert sol.evals <= 500
     assert abs(sol.p_s) < 1e-5
     assert sol.report.ok
+
+
+def random_horizons(base, net, count):
+    """Seeded case41 horizons: demand 0.3-1.6x ``base``, wind U(0, 10) MW
+    per station, c_p U(0.1, 3) and c_q U(0.05, 1)."""
+    rng = np.random.default_rng(2026)
+    for _ in range(count):
+        scale = rng.uniform(0.3, 1.6)
+        wind = rng.uniform(0.0, 10.0, size=len(net.stations))
+        price_p, price_q = rng.uniform(0.1, 3.0), rng.uniform(0.05, 1.0)
+        yield HorizonInput(
+            demand_p={b: v * scale for b, v in base.demand_p.items()},
+            demand_q={b: v * scale for b, v in base.demand_q.items()},
+            wind_available={s.bus: float(w)
+                            for s, w in zip(net.stations, wind)},
+            price_p=price_p, price_q=price_q)
+
+
+def test_no_polish_move_improves_the_returned_point(net41, horizon1):
+    # the stopping certificate of the complete poll, checked move by move
+    # at each of the five steps 0.25 .. 0.25/16
+    steps = [POLISH_STEP / 2.0 ** k for k in range(5)]
+    assert steps[-1] >= POLISH_STEP_MIN > steps[-1] / 2.0
+    for inp in [horizon1, *random_horizons(horizon1, net41, 6)]:
+        sol = solve_opf(net41, inp)
+        assert sol.status == STATUS_OPTIMAL
+        ev = _Evaluator(net41, inp)
+        x = np.array(sol.beta)
+        score = ev(x).score
+        for step in steps:
+            for i, di, j, dj in _moves(x.size, ev.wind):
+                xn = x.copy()
+                xn[i] = min(1.0, max(0.0, x[i] + di * step))
+                if j is not None:
+                    xn[j] = min(1.0, max(0.0, x[j] + dj * step))
+                e = ev(xn)
+                if e.p_s < -SURFACE_TOL:  # projected as the poll does
+                    landed = _to_surface(
+                        ev, [(xn, e, i if di > 0 else None)])
+                    if not landed:
+                        continue
+                    e = landed[0][1]
+                assert e.score <= score + TOL_OBJ, (inp, step, i, j)
+
+
+def test_reference_table_takes_few_kernel_calls(net41, horizon1,
+                                                monkeypatch):
+    # one batched call per poll round and per projection round keeps the
+    # table near 400 search calls; a polish that polls one step size per
+    # call makes about 1000
+    calls = []
+    kernel = opf.zbus_iterate
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return kernel(*args)
+    monkeypatch.setattr(opf, "zbus_iterate", counted)
+    buses = [s.bus for s in net41.stations]
+    levels = make_levels([horizon1.wind_available[b] for b in buses], None,
+                         [s.rated_power for s in net41.stations])
+    table = build_lookup_table(net41, horizon1, enumerate_scenarios(levels),
+                               levels)
+    assert all(sol.status == STATUS_OPTIMAL for _, sol in table.rows)
+    assert sum(calls) == sum(sol.evals for _, sol in table.rows)
+    assert 0 < len(calls) <= 450

@@ -2,11 +2,13 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rtopf.network import build_admittance
 from rtopf.powerflow import (DEFAULT_MAX_ITER, DEFAULT_TOL, InjectionSpec,
-                             NonConvergence, check_limits, initial_state,
-                             solve_power_flow, zbus_gauss)
+                             NonConvergence, PowerFlowError, check_limits,
+                             initial_state, solve_power_flow, zbus_gauss)
 from rtopf.powerflow import SingularJacobian
 from rtopf.powerflow import injections as inject
 
@@ -66,6 +68,35 @@ def test_balance_identity():
             sol.p_s + float(np.sum(inj.p_mw[1:])), abs=1e-12)
         # and losses are physically non-negative for these line parameters
         assert sol.p_loss >= -1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.floats(-2.0, 1.0), st.floats(-1.0, 0.5)),
+                min_size=1, max_size=10))
+def test_balance_against_branch_losses_on_random_feeders(seed, loads):
+    # the slack covers the specified injections plus the losses that the
+    # branch currents dissipate, computed here from the branch data alone
+    net = random_radial_net(np.random.default_rng(seed), len(loads) + 1)
+    inj = injections(net, {i: p for i, (p, _) in enumerate(loads, 2)},
+                     {i: q for i, (_, q) in enumerate(loads, 2)})
+    # the balance holds to the mismatch per bus times the base, so solve
+    # tighter than the default 1e-10 pu (1e-9 MW a bus on a 10 MVA base)
+    try:
+        sol = solve_power_flow(net, inj, tol=1e-12)
+    except PowerFlowError:
+        assume(False)
+    vc = sol.v * np.exp(1j * sol.theta)
+    loss = 0.0
+    for br in net.branches:
+        vf, vt = vc[net.index_of(br.from_bus)], vc[net.index_of(br.to_bus)]
+        ys = 1.0 / complex(br.resistance, br.reactance)
+        ysh = 0.5j * br.shunt_susceptance_total
+        i_from = (vf - vt) * ys + vf * ysh
+        i_to = (vt - vf) * ys + vt * ysh
+        loss += (vf * np.conj(i_from) + vt * np.conj(i_to)).real
+    assert sol.p_s + inj.p_mw[1:].sum() == pytest.approx(
+        loss * net.base_mva, abs=1e-9)
 
 
 def test_loss_matches_branch_i2r():

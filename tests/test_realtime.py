@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,16 +136,22 @@ def test_run_day_applies_conservative_injections():
             assert b * a <= 10.0 + 1e-9
 
 
-def test_run_day_stale_table_fallback():
+def test_run_day_stale_table_fallback(caplog):
     net, profiles = day_fixture()
     timing = TimingConfig(compute_budget=1e-9)
-    run = run_day(net, profiles, timing=timing, opts=FAST_OPTS,
-                  n_horizons=3, enforce_deadline=True)
+    with caplog.at_level(logging.WARNING, logger="rtopf.realtime"):
+        run = run_day(net, profiles, timing=timing, opts=FAST_OPTS,
+                      n_horizons=3, enforce_deadline=True)
     assert run.summary.deadline_overruns == 3
     # the first horizon has no previous table to fall back to
     assert run.summary.stale_tables == 2
     assert any(r.stale_table for r in run.records)
     assert run.summary.max_build_duration > 0
+    # its overrun is flagged once, by horizon, and its late table used
+    late = [r.getMessage() for r in caplog.records
+            if "no previous table" in r.getMessage()]
+    assert len(late) == 1 and late[0].startswith("horizon 0:")
+    assert not any(r.stale_table for r in run.records if r.horizon_id == 0)
 
 
 def test_run_day_without_enforcement_only_counts_overruns():
