@@ -11,7 +11,7 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Any, Mapping
+from typing import Any, ClassVar, Mapping
 
 import numpy as np
 
@@ -63,8 +63,8 @@ class Network:
     s_s_max: float  # MVA, slack apparent-power limit
     base_mva: float = DEFAULT_BASE_MVA
     base_kv: float = 27.6
-    slack_voltage: float = 1.0  # pu
-    slack_angle: float = 0.0  # rad
+    slack_voltage: ClassVar[float] = 1.0  # pu
+    slack_angle: ClassVar[float] = 0.0  # rad
 
     @property
     def n_buses(self) -> int:

@@ -15,8 +15,8 @@ no move at any step improves the objective. Whenever the wind exceeds
 demand plus losses the optimum lies on the reverse-flow boundary p_s = 0,
 and one exact projection, ``_to_surface``, moves points onto it in
 lockstep. The projection pulls the fully-uncurtailed seed back to the
-boundary, turns the poll moves that overshoot the boundary into slides
-along it, and lands the final point on it from the import side.
+boundary and turns the poll moves that overshoot the boundary into slides
+along it.
 
 The receding-horizon controller solves tens of thousands of these problems
 per simulated day, so the evaluator batches candidate points through the
@@ -35,8 +35,8 @@ import numpy as np
 from .network import Network
 from .powerflow import (DEFAULT_TOL, ConstraintReport, InjectionSpec,
                         PowerFlowSolution, branch_flows, check_limits,
-                        injections, limit_margins, objective, slack_power,
-                        solve_power_flow, zbus_iterate)
+                        evaluate_point, injections, limit_margins, objective,
+                        slack_power, zbus_iterate)
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -178,17 +178,18 @@ class _Evaluator:
 
     def full_solution(self, beta: np.ndarray, e: _Eval, status: str,
                       message: str = "") -> OPFSolution:
-        """Re-solve at beta through the public path, starting from the state
-        of its converged evaluation ``e``, and attach the report."""
-        bd = _breakdown(self.net, self.inp, beta, TOL_CONS, tol=PF_TOL,
-                        max_iter=PF_MAX_ITER,
-                        start=(np.abs(e.state), np.angle(e.state)))
-        pf = bd.power_flow
+        """Re-solve at beta through ``evaluate_point``, starting from the
+        state of its converged evaluation ``e``, and attach the report."""
+        inp = self.inp
+        pf, (f, f1, f2, f3, f4) = evaluate_point(
+            self.net, inp.demand_p, inp.demand_q, self.wind, beta,
+            inp.price_p, inp.price_q, tol=PF_TOL, max_iter=PF_MAX_ITER,
+            start=(np.abs(e.state), np.angle(e.state)))
         return OPFSolution(
             beta=tuple(float(b) for b in beta),
             p_s=pf.p_s, q_s=pf.q_s, p_loss=pf.p_loss,
-            f=bd.f, f1=bd.f1, f2=bd.f2, f3=bd.f3, f4=bd.f4,
-            status=status, power_flow=pf, report=bd.report,
+            f=f, f1=f1, f2=f2, f3=f3, f4=f4, status=status, power_flow=pf,
+            report=check_limits(self.net, pf, tol=TOL_CONS),
             evals=self.evals, message=message)
 
 
@@ -208,27 +209,18 @@ class ObjectiveBreakdown:
     power_flow: PowerFlowSolution
 
 
-def _breakdown(net: Network, inp: HorizonInput, beta, tol_cons: float,
-               **pf_args) -> ObjectiveBreakdown:
-    """Power flow, objective terms and limit report at one beta."""
-    demand = InjectionSpec.from_mappings(net, inp.demand_p, inp.demand_q)
-    p, q, injected = injections(net, demand, _wind(net, inp), [beta])
-    pf = solve_power_flow(net, InjectionSpec(p[0], q[0]), **pf_args)
-    terms = objective(inp.price_p, inp.price_q, float(injected[0]),
-                      pf.p_loss, pf.p_s, pf.q_s)  # f, f1, f2, f3, f4
-    return ObjectiveBreakdown(*terms, power_flow=pf,
-                              report=check_limits(net, pf, tol=tol_cons))
-
-
 def evaluate_objective(net: Network, inp: HorizonInput,
-                       beta: Sequence[float],
-                       tol_cons: float = TOL_CONS) -> ObjectiveBreakdown:
+                       beta: Sequence[float]) -> ObjectiveBreakdown:
     """Objective decomposition and constraint report at a fixed beta."""
     beta = np.asarray(beta, dtype=float)
     # written so that NaN fails it too
     if not np.all((beta >= -1e-12) & (beta <= 1 + 1e-12)):
         raise ValueError("beta must lie in [0, 1] per station")
-    return _breakdown(net, inp, beta, tol_cons)
+    pf, terms = evaluate_point(net, inp.demand_p, inp.demand_q,
+                               _wind(net, inp), beta, inp.price_p,
+                               inp.price_q)
+    return ObjectiveBreakdown(*terms, power_flow=pf,
+                              report=check_limits(net, pf, tol=TOL_CONS))
 
 
 def _failed(beta_len: int, status: str, evals: int,
@@ -373,16 +365,8 @@ def solve_opf(net: Network, inp: HorizonInput,
     inp = inp.validated(net)
     ev = _Evaluator(net, inp)
     nst = len(net.stations)
-
-    if nst == 0:
-        e = ev(np.zeros(0))
-        if e.feasible:
-            return ev.full_solution(np.zeros(0), e, STATUS_OPTIMAL)
-        return _failed(0, STATUS_INFEASIBLE, ev.evals,
-                       "demand-only power flow violates limits")
-
     ones = np.ones(nst)
-    # degenerate flat objectives: deterministic beta = (1, ..., 1)
+    # degenerate flat objectives (no stations among them): beta = (1, ..., 1)
     degenerate = (not np.any(ev.wind > 0)) or (
         inp.price_p == 0 and inp.price_q == 0)
     if degenerate:
@@ -423,11 +407,6 @@ def solve_opf(net: Network, inp: HorizonInput,
         best_x, best_e = found
 
     best_x, best_e, converged = _polish(ev, best_x, best_e, opts.max_evals)
-    if best_e.p_s > SURFACE_TOL:  # land on the boundary from the import side
-        landed = _to_surface(ev, [(best_x, best_e, None)])
-        if landed and landed[0][1].score > best_e.score:
-            best_x, best_e = landed[0]
-
     if not converged:
         return ev.full_solution(best_x, best_e, STATUS_FAILURE,
                                 f"evaluation budget exhausted before the "
@@ -450,13 +429,6 @@ def oracle_opf(net: Network, inp: HorizonInput,
     if nst > 3:
         raise ValueError("oracle grid is only tractable for <= 3 stations")
     ev = _Evaluator(net, inp)
-    if nst == 0:
-        e = ev(np.zeros(0))
-        if e.feasible:
-            return ev.full_solution(np.zeros(0), e, STATUS_OPTIMAL)
-        return _failed(0, STATUS_INFEASIBLE, ev.evals,
-                       "demand-only power flow violates limits")
-
     lo = np.zeros(nst)
     hi = np.ones(nst)
     best_x, best_e = None, _FAILED_EVAL

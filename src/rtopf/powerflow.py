@@ -1,7 +1,10 @@
 """Batched AC power flow (implicit Z-bus iteration), the objective and the
 operating-limit checks: the one evaluation kernel of the OPF and of the
-realized updates. Each function takes K cases as (K, n) arrays; a single
-power flow is K = 1.
+realized updates. The state is the complex bus voltage throughout; each
+kernel function takes K cases as (K, n) arrays. ``solve_power_flow`` is the
+K = 1 call, and ``evaluate_point`` runs injections, solve and objective at
+one operating point: a reported OPF row, ``evaluate_objective`` and each
+realized update.
 
 The slack bus balances the network: its active/reactive injection and the
 total losses come out of the solve. All buses except the slack are PQ.
@@ -94,33 +97,10 @@ def _per_bus(net: Network, by_bus: Mapping[int, float]) -> np.ndarray:
     return np.array(out)
 
 
-def initial_state(net: Network, k: int, start=None):
-    """(K, n) voltage magnitudes and angles: the slack values at the slack
-    bus, and elsewhere a flat start or the ``(v, theta)`` pair ``start``."""
-    v = np.full((k, net.n_buses), net.slack_voltage)
-    theta = np.full((k, net.n_buses), net.slack_angle)
-    if start is not None:
-        v[:, 1:] = np.asarray(start[0], dtype=float)[1:]
-        theta[:, 1:] = np.asarray(start[1], dtype=float)[1:]
-    return v, theta
-
-
 def _products(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     # one matrix-vector product per case, so that a case rounds the same
     # whatever the batch size (a matrix-matrix product does not)
     return np.matmul(m, x[:, :, None])[:, :, 0]
-
-
-def zbus_gauss(y: np.ndarray, p_pu: np.ndarray, q_pu: np.ndarray,
-               v: np.ndarray, theta: np.ndarray, tol: float, max_iter: int,
-               z: np.ndarray | None):
-    """``zbus_iterate`` on a polar state: v and theta, (K, n) arrays, are
-    updated in place. Returns what ``zbus_iterate`` returns."""
-    vc = v * np.exp(1j * theta)
-    out = zbus_iterate(y, p_pu + 1j * q_pu, vc, tol, max_iter, z)
-    v[:, 1:] = np.abs(vc[:, 1:])
-    theta[:, 1:] = np.angle(vc[:, 1:])
-    return out
 
 
 def zbus_iterate(y: np.ndarray, s_pu: np.ndarray, vc: np.ndarray,
@@ -177,7 +157,7 @@ def slack_power(net: Network, y: np.ndarray, p_mw: np.ndarray,
     ``p_mw``. The losses follow from the balance: the slack covers demand
     minus wind plus losses.
     """
-    v0, i0 = vc[:, 0], _products(y, vc)[:, 0]
+    v0, i0 = vc[:, 0], _products(y[:1], vc)[:, 0]
     # S = V conj(I) in real arithmetic, each product rounded on its own
     # (numpy's vectorized complex product may fuse multiply-adds)
     p_s = (v0.real * i0.real + v0.imag * i0.imag) * net.base_mva
@@ -228,9 +208,10 @@ def solve_power_flow(net: Network, inj: InjectionSpec, *,
     """Solve the AC power-flow equations for the given injections.
 
     ``start`` is None for a flat start or a ``(v, theta)`` pair for a warm
-    start. ``y`` optionally passes an admittance matrix: the network's own
-    ``net.Y`` (the default) uses its cached factor ``net.Z``, and any other
-    matrix is factored for this call.
+    start; the reported ``v`` and ``theta`` are the magnitude and angle of
+    the converged complex state. ``y`` optionally passes an admittance
+    matrix: the network's own ``net.Y`` (the default) uses its cached factor
+    ``net.Z``, and any other matrix is factored for this call.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -240,20 +221,37 @@ def solve_power_flow(net: Network, inj: InjectionSpec, *,
         y = net.Y
     p_mw = np.asarray(inj.p_mw, dtype=float)[None, :]
     q_mvar = np.asarray(inj.q_mvar, dtype=float)[None, :]
-    v, theta = initial_state(net, 1, start)
-    converged, iterations, residual, singular = zbus_gauss(
-        y, p_mw / net.base_mva, q_mvar / net.base_mva, v, theta,
+    vc = np.full((1, net.n_buses),
+                 net.slack_voltage * np.exp(1j * net.slack_angle))
+    if start is not None:
+        v, theta = (np.asarray(a, dtype=float)[1:] for a in start)
+        vc[0, 1:] = v * np.exp(1j * theta)
+    converged, iterations, residual, singular = zbus_iterate(
+        y, p_mw / net.base_mva + 1j * (q_mvar / net.base_mva), vc,
         tol, max_iter, net.Z if y is net.Y else zbus(y))
     if singular[0]:
         raise SingularJacobian(int(iterations[0]))
     if not converged[0]:
         raise NonConvergence(int(iterations[0]), float(residual[0]))
-    vc = v * np.exp(1j * theta)
     p_s, q_s, p_loss = slack_power(net, y, p_mw, vc)
     return PowerFlowSolution(
-        v=v[0], theta=theta[0], p_s=float(p_s[0]), q_s=float(q_s[0]),
-        p_loss=float(p_loss[0]), flows=branch_flows(net, vc)[0],
-        iterations=int(iterations[0]), max_residual=float(residual[0]))
+        v=np.abs(vc[0]), theta=np.angle(vc[0]), p_s=float(p_s[0]),
+        q_s=float(q_s[0]), p_loss=float(p_loss[0]),
+        flows=branch_flows(net, vc)[0], iterations=int(iterations[0]),
+        max_residual=float(residual[0]))
+
+
+def evaluate_point(net: Network, demand_p: Mapping[int, float],
+                   demand_q: Mapping[int, float], wind, beta,
+                   price_p: float, price_q: float, **pf_args):
+    """``injections``, ``solve_power_flow`` (keyword arguments ``pf_args``)
+    and ``objective`` at one beta, at prices the caller has prorated.
+    Returns the solution and (f, f1, f2, f3, f4)."""
+    demand = InjectionSpec.from_mappings(net, demand_p, demand_q)
+    p, q, injected = injections(net, demand, wind, [beta])
+    pf = solve_power_flow(net, InjectionSpec(p[0], q[0]), **pf_args)
+    return pf, objective(price_p, price_q, float(injected[0]), pf.p_loss,
+                         pf.p_s, pf.q_s)
 
 
 # --- operating-limit checks -------------------------------------------------

@@ -20,9 +20,8 @@ import numpy as np
 
 from .network import Network
 from .opf import HorizonInput, OPFOptions, STATUS_OPTIMAL
-from .powerflow import (InjectionSpec, PowerFlowError, PowerFlowSolution,
-                        check_limits, injections, objective,
-                        solve_power_flow)
+from .powerflow import (PowerFlowError, PowerFlowSolution, check_limits,
+                        evaluate_point)
 from .profiles import DayProfiles, SLOTS_PER_DAY, validate_profiles
 from .scenarios import (LevelWidths, LookupTable, WindLevels,
                         build_lookup_table, enumerate_scenarios, make_levels,
@@ -147,12 +146,10 @@ def apply_and_realize(net: Network,
                       start=None):
     """Power flow at the realized injection beta*actual and the objective
     components prorated to one update interval."""
-    demand = InjectionSpec.from_mappings(net, demand_p, demand_q)
-    p, q, injected = injections(net, demand, actual, [beta])
-    pf = solve_power_flow(net, InjectionSpec(p[0], q[0]), y=y, start=start)
     frac = timing.update / timing.horizon
-    terms = objective(price_p * frac, price_q * frac, float(injected[0]),
-                      pf.p_loss, pf.p_s, pf.q_s)
+    pf, terms = evaluate_point(net, demand_p, demand_q, actual, beta,
+                               price_p * frac, price_q * frac, y=y,
+                               start=start)
     return pf, dict(zip(("f", "f1", "f2", "f3", "f4"), terms))
 
 

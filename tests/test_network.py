@@ -1,14 +1,17 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtopf.network import (Branch, Bus, CaseFileError, Network,
                            NetworkValidationError, WindStation,
                            build_admittance, load_network, network_from_dict,
                            network_to_dict, save_network, validate)
 
-from conftest import DATA, chain_net
+from conftest import DATA, chain_net, random_radial_net
 
 
 def minimal_case():
@@ -46,6 +49,18 @@ def test_round_trip(tmp_path, net41):
 
 def test_from_dict_to_dict_round_trip():
     net = network_from_dict(minimal_case())
+    assert network_from_dict(network_to_dict(net)) == net
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.data())
+def test_dict_round_trip_on_random_feeders(seed, n_buses, data):
+    net = random_radial_net(np.random.default_rng(seed), n_buses)
+    buses = data.draw(st.lists(st.integers(2, n_buses), unique=True,
+                               max_size=n_buses - 1))
+    rated = st.floats(0.1, 50.0, allow_nan=False)
+    net = validate(replace(net, stations=tuple(
+        WindStation(bus=b, rated_power=data.draw(rated)) for b in buses)))
     assert network_from_dict(network_to_dict(net)) == net
 
 

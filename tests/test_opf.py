@@ -200,6 +200,13 @@ def test_no_station_network():
     assert sol.status == STATUS_OPTIMAL
     assert sol.beta == ()
     assert sol.p_s > 1.0
+    assert oracle_opf(net, inp).f == sol.f
+    # the 1.04 MVA demand overloads a 0.5 MVA feeder at its only point
+    tight = chain_net(3, s_l_max=0.5)
+    for sol in (solve_opf(tight, inp), oracle_opf(tight, inp)):
+        assert sol.status == STATUS_INFEASIBLE
+        assert sol.beta == ()
+        assert np.isnan(sol.f)
 
 
 def test_oracle_rejects_bad_grid_and_many_stations(net41, horizon1):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtopf.opf import FAST_OPTS, HorizonInput
+from rtopf.opf import FAST_OPTS, HorizonInput, evaluate_objective
 from rtopf.profiles import (ProfileGenConfig, UPDATES_PER_SLOT,
                             gen_day_profiles)
 from rtopf.realtime import (TimingConfig, apply_and_realize, run_day,
@@ -99,6 +99,21 @@ def test_apply_and_realize_prorates_to_one_update():
     assert comps["f1"] == pytest.approx(1.67 * 2.0 / 6.0, abs=1e-12)
     assert comps["f3"] == pytest.approx(1.67 * pf.p_s / 6.0, abs=1e-12)
     assert pf.p_s == pytest.approx(3.0 - 2.0 + pf.p_loss, abs=1e-9)
+
+
+def test_apply_and_realize_matches_evaluate_objective(net41, horizon1):
+    # with one update per horizon nothing is prorated, so the realized
+    # update and the OPF's single-point evaluation must agree bitwise
+    timing = TimingConfig(horizon=120.0, update=120.0, compute_budget=112.0)
+    beta = (1.0, 0.35)
+    wind = tuple(horizon1.wind_available[b] for b in net41.station_buses)
+    pf, comps = apply_and_realize(net41, horizon1.demand_p,
+                                  horizon1.demand_q, wind, beta,
+                                  horizon1.price_p, horizon1.price_q, timing)
+    bd = evaluate_objective(net41, horizon1, beta)
+    assert pf.p_s == bd.power_flow.p_s
+    assert (comps["f"], comps["f1"], comps["f2"], comps["f3"],
+            comps["f4"]) == (bd.f, bd.f1, bd.f2, bd.f3, bd.f4)
 
 
 def day_fixture(seed=0, stations=(3,)):
