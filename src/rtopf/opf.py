@@ -12,11 +12,14 @@ holds only the evaluation budget. Each polish round is one complete poll:
 every coordinate and exchange move at every step from POLISH_STEP down to
 POLISH_STEP_MIN goes into one batched evaluation, and the search stops when
 no move at any step improves the objective. Whenever the wind exceeds
-demand plus losses the optimum lies on the reverse-flow boundary p_s = 0,
-and one exact projection, ``_to_surface``, moves points onto it in
-lockstep. The projection pulls the fully-uncurtailed seed back to the
-boundary and turns the poll moves that overshoot the boundary into slides
-along it.
+demand plus losses the optimum lies on the reverse-flow boundary p_s = 0.
+The kernel lands points on it inside the power-flow iteration: each point
+names a station whose beta the iteration lowers until the slack's active
+power is zero (``zbus_iterate``'s pin). The fully-uncurtailed seed and
+every poll move slide that way in the call that evaluates them, so a move
+that overshoots the boundary becomes a slide along it. Only a point whose
+station runs out of room takes one more call, ``_to_surface``, through
+another station.
 
 The receding-horizon controller solves tens of thousands of these problems
 per simulated day, so the evaluator batches candidate points through the
@@ -50,7 +53,6 @@ POLISH_STEP_MIN = 1e-2  # the poll halves the step down to this
 PF_TOL = DEFAULT_TOL
 PF_MAX_ITER = 30
 SURFACE_TOL = 1e-7      # MW; |p_s| of a point on the reverse-flow boundary
-SURFACE_SHIFTS = 4      # slack-imbalance shifts of one projection
 
 
 @dataclass(frozen=True)
@@ -150,15 +152,36 @@ class _Evaluator:
         self._warm = np.full(net.n_buses, net.slack_voltage
                              * np.exp(1j * net.slack_angle))
 
-    def eval_many(self, xs: Sequence[np.ndarray]) -> list[_Eval]:
+    def eval_many(self, xs: Sequence[np.ndarray], slide=None,
+                  start=None) -> list[tuple[np.ndarray, _Eval]]:
+        """Evaluate K points in one kernel call; returns (beta, evaluation)
+        per point. ``slide`` optionally names per point a station (-1 for
+        none) that the kernel slides down onto p_s = 0, so the returned
+        beta may be lower than the point in that station. ``start`` gives
+        (K, n) complex start states instead of the shared warm state."""
         k = len(xs)
         self.evals += k
         net, inp = self.net, self.inp
-        beta = np.asarray(xs, dtype=float).reshape(k, -1)
+        beta = np.array(xs, dtype=float).reshape(k, -1)
         p, _, injected = injections(net, self.demand, self.wind, beta)
-        vc = np.repeat(self._warm[None, :], k, axis=0)
+        vc = (np.repeat(self._warm[None, :], k, axis=0) if start is None
+              else np.array(start))
+        pin = None
+        if slide is not None:
+            # an unpinned point (-1) names the last station, which the
+            # kernel leaves alone (bus 0)
+            rows = np.arange(k)
+            b = beta[rows, slide]
+            pin = (np.where(slide >= 0, net.station_index[slide], 0),
+                   self.wind[slide] / net.base_mva, b,
+                   SURFACE_TOL / net.base_mva)
         ok, _, _, _ = zbus_iterate(net.Y, p / net.base_mva + 1j * self._q_pu,
-                                   vc, PF_TOL, PF_MAX_ITER, net.Z)
+                                   vc, PF_TOL, PF_MAX_ITER, net.Z, pin=pin)
+        if pin is not None:
+            dw = (b - beta[rows, slide]) * self.wind[slide]
+            beta[rows, slide] = b
+            p[rows, net.station_index[slide]] += dw
+            injected += dw
         p_s, q_s, p_loss = slack_power(net, net.Y, p, vc)
         _, margins = limit_margins(net, p_s, q_s, np.abs(vc),
                                    branch_flows(net, vc))
@@ -170,11 +193,14 @@ class _Evaluator:
             # the next batch starts from the best feasible point, or else
             # from the first converged one (argmax takes the first maximum)
             self._warm = vc[int(np.argmax(score if feas.any() else ok))]
-        return [_Eval(float(score[i]), float(p_s[i]), bool(feas[i]), True,
-                      vc[i]) if ok[i] else _FAILED_EVAL for i in range(k)]
+        return [(beta[i], _Eval(sc, ps, fe, True, vc[i])
+                 if conv else _FAILED_EVAL)
+                for i, (sc, ps, fe, conv) in enumerate(zip(
+                    score.tolist(), p_s.tolist(), feas.tolist(),
+                    ok.tolist()))]
 
     def __call__(self, x: np.ndarray) -> _Eval:
-        return self.eval_many([x])[0]
+        return self.eval_many([x])[0][1]
 
     def full_solution(self, beta: np.ndarray, e: _Eval, status: str,
                       message: str = "") -> OPFSolution:
@@ -231,51 +257,54 @@ def _failed(beta_len: int, status: str, evals: int,
                        status=status, evals=evals, message=message)
 
 
+def _slides(wind: np.ndarray, xs, exclude: np.ndarray) -> np.ndarray:
+    """Per point, the station with the most wind to give up (wind times
+    beta), leaving out the station ``exclude`` names (-1 for none); -1
+    where no station has any."""
+    room = wind * np.asarray(xs, dtype=float).reshape(len(exclude), wind.size)
+    rows = np.flatnonzero(exclude >= 0)
+    room[rows, exclude[rows]] = 0.0
+    k = np.argmax(room, axis=1)
+    return np.where(room[np.arange(k.size), k] > 0, k, -1)
+
+
+def _land(ev: _Evaluator, xs, exclude: np.ndarray, slide: np.ndarray,
+          start=None) -> list[tuple[np.ndarray, _Eval]]:
+    """Evaluate points in one call, each sliding down onto the reverse-flow
+    boundary p_s = 0 through its ``slide`` station, and return (beta,
+    evaluation) for every point that does not export. A point whose slide
+    station runs out of room while the grid still exports is passed to
+    ``_to_surface``, which goes on with another station."""
+    out, beyond = [], []
+    for (x, e), i, k in zip(ev.eval_many(xs, slide, start), exclude, slide):
+        if not e.p_s < -SURFACE_TOL:  # failed points too (p_s is NaN)
+            out.append((x, e))
+        elif k >= 0 and x[k] == 0:
+            beyond.append((x, e, i))
+    return out + _to_surface(ev, beyond)
+
+
 def _to_surface(ev: _Evaluator, points) -> list[tuple[np.ndarray, _Eval]]:
-    """Project points onto the reverse-flow boundary p_s = 0, in lockstep.
+    """Project exporting points onto the reverse-flow boundary p_s = 0.
 
     ``points`` holds (x, e, exclude) triples: a point, its evaluation, and a
-    station to leave out or None. A point's slack imbalance is shifted onto
-    the station with the most room in its direction (more wind while the
-    grid imports, less while it exports), which keeps taking the shifts
-    until its room runs out. The losses move with the injection, so the
-    shift repeats, scaled by the slack change per MW that the previous shift
-    measured, until |p_s| <= SURFACE_TOL; each round of shifts is one batch.
-    Returns (x, e) for every point that got there; a point whose power flow
-    fails, whose stations have no room, or that SURFACE_SHIFTS shifts do not
-    bring there is dropped.
+    station to leave out or None. Each converged point slides from its own
+    state through the station with the most wind to give up, all in one
+    pinned kernel call, and a station that runs out of room hands over to
+    the next. Returns (x, e) for every point that got there; a point whose
+    power flow fails or that no station has room for is dropped.
     """
-    done = []
-    todo = [(x, e, exclude, None, 1.0) for x, e, exclude in points]
-    for last in [False] * SURFACE_SHIFTS + [True]:
-        moves = []
-        for x, e, exclude, k, gain in todo:
-            if not e.converged:
-                continue
-            if abs(e.p_s) <= SURFACE_TOL:
-                done.append((x, e))
-                continue
-            room = ev.wind * ((1.0 - x) if e.p_s > 0 else x)
-            if exclude is not None:
-                room[exclude] = 0.0
-            if k is None or room[k] <= 0:
-                k, gain = int(np.argmax(room)), 1.0
-            if last or room[k] <= 0:
-                continue
-            xn = x.copy()
-            shift = math.copysign(min(abs(e.p_s) / gain, room[k]), e.p_s)
-            xn[k] = min(1.0, max(0.0, x[k] + shift / ev.wind[k]))
-            moves.append((xn, e, exclude, k, gain,
-                          (xn[k] - x[k]) * ev.wind[k]))
-        if not moves:
-            break
-        todo = []
-        for (xn, e, exclude, k, gain, mw), en in zip(
-                moves, ev.eval_many([m[0] for m in moves])):
-            if en.converged and mw != 0:
-                gain = min(2.0, max(0.5, (e.p_s - en.p_s) / mw))
-            todo.append((xn, en, exclude, k, gain))
-    return done
+    points = [(x, e, -1 if i is None else i) for x, e, i in points
+              if e.converged]
+    if not points:
+        return []
+    exclude = np.array([i for _, _, i in points], dtype=int)
+    slide = _slides(ev.wind, [x for x, _, _ in points], exclude)
+    keep = np.flatnonzero(slide >= 0)
+    if not keep.size:
+        return []
+    return _land(ev, [points[j][0] for j in keep], exclude[keep],
+                 slide[keep], [points[j][1].state for j in keep])
 
 
 def _moves(n: int, wind: np.ndarray):
@@ -295,53 +324,49 @@ def _moves(n: int, wind: np.ndarray):
     return out
 
 
-def _poll(x: np.ndarray, moves) -> tuple[list[np.ndarray], list]:
+def _poll(x: np.ndarray, moves) -> tuple[np.ndarray, np.ndarray]:
     """Every move of ``_moves`` from x at every step POLISH_STEP,
     POLISH_STEP/2, ... >= POLISH_STEP_MIN, largest step first, clipped to
     the box; duplicates and x itself are left out. Returns the points and,
-    per point, the station its move raised (None for a lowering move)."""
-    seen = {tuple(x)}
-    cands, raised = [], []
-    step = POLISH_STEP
-    while step >= POLISH_STEP_MIN:
-        for i, di, j, dj in moves:
-            xn = x.copy()
-            xn[i] = min(1.0, max(0.0, x[i] + di * step))
-            if j is not None:
-                xn[j] = min(1.0, max(0.0, x[j] + dj * step))
-            key = tuple(xn)
-            if key not in seen:
-                seen.add(key)
-                cands.append(xn)
-                raised.append(i if di > 0 else None)
-        step /= 2.0
-    return cands, raised
+    per point, the station its move raised (-1 for a lowering move)."""
+    steps = [POLISH_STEP]
+    while steps[-1] / 2.0 >= POLISH_STEP_MIN:
+        steps.append(steps[-1] / 2.0)
+    d = np.zeros((len(moves), x.size))
+    raised = np.full(len(moves), -1)
+    for m, (i, di, j, dj) in enumerate(moves):
+        d[m, i] = di
+        if j is not None:
+            d[m, j] = dj
+        if di > 0:
+            raised[m] = i
+    cands = np.minimum(np.maximum(
+        x + np.multiply.outer(steps, d), 0.0), 1.0).reshape(-1, x.size)
+    seen, keep = {tuple(x.tolist())}, []
+    for c, key in enumerate(map(tuple, cands.tolist())):
+        if key not in seen:
+            seen.add(key)
+            keep.append(c)
+    return cands[keep], np.tile(raised, len(steps))[keep]
 
 
 def _polish(ev: _Evaluator, x: np.ndarray, e: _Eval, max_evals: int):
     """Pattern search with a complete poll, one batch per round.
 
     Each round evaluates every move of ``_poll`` (all steps at once) in one
-    kernel call. A move that crosses the reverse-flow boundary
-    (p_s < -SURFACE_TOL) is replaced by its projection back onto it through
-    the stations the move did not raise, so raising one station slides
-    along the binding surface instead of stalling against the infeasibility
-    wall; the crossers of a round are projected in lockstep. The search
-    moves to the best improver and stops when no move at any step improves
-    the score by more than TOL_OBJ.
+    kernel call. Each move slides through the station with the most wind
+    to give up among those it did not raise, so a move that would cross
+    the reverse-flow boundary lands on it in the same call: raising one
+    station slides along the binding surface instead of stalling against
+    the infeasibility wall. The search moves to the best improver and stops
+    when no move at any step improves the score by more than TOL_OBJ.
     Returns the best point, its evaluation, and whether a poll found no
     improvement before the budget ran out.
     """
     moves = _moves(x.size, ev.wind)
     while ev.evals < max_evals:
         cands, raised = _poll(x, moves)
-        results, beyond = [], []
-        for xc, ec, i in zip(cands, ev.eval_many(cands), raised):
-            if ec.p_s < -SURFACE_TOL:
-                beyond.append((xc, ec, i))
-            else:
-                results.append((xc, ec))
-        results += _to_surface(ev, beyond)
+        results = _land(ev, cands, raised, _slides(ev.wind, cands, raised))
         xb, eb = max(results, key=lambda r: r[1].score,
                      default=(x, e))  # the first maximum
         if not eb.score > e.score + TOL_OBJ:
@@ -377,16 +402,16 @@ def solve_opf(net: Network, inp: HorizonInput,
             return _failed(nst, STATUS_INFEASIBLE, ev.evals,
                            "infeasible at every beta (zero wind)")
 
-    # coarse seeding grid, batch-evaluated; the fully-uncurtailed point, if
-    # it exports, is pulled back onto the reverse-flow boundary (the usual
-    # optimum basin)
+    # coarse seeding grid in one call; the fully-uncurtailed point, where
+    # the grid ends, slides onto the reverse-flow boundary if it exports
+    # (the usual optimum basin)
     axis = np.linspace(0.0, 1.0, COARSE_GRID)
     grid = [np.array(c) for c in itertools.product(axis, repeat=nst)]
-    seeds = list(zip(grid, ev.eval_many(grid)))
-    e_ones = seeds[-1][1]  # grid ends at (1, ..., 1)
-    if e_ones.p_s < -SURFACE_TOL:
-        seeds[-1:] = _to_surface(ev, [(ones, e_ones, None)])
-    best_x, best_e = max(seeds, key=lambda s: s[1].score)
+    slide = np.full(len(grid), -1)
+    slide[-1] = np.argmax(ev.wind)
+    best_x, best_e = max(_land(ev, grid, np.full(len(grid), -1), slide),
+                         key=lambda s: s[1].score,
+                         default=(ones, _FAILED_EVAL))
 
     if not math.isfinite(best_e.score):
         # dense certification scan, early exit on the first feasible point
@@ -395,7 +420,7 @@ def solve_opf(net: Network, inp: HorizonInput,
         for chunk in itertools.zip_longest(
                 *[iter(itertools.product(dense, repeat=nst))] * 101):
             pts = [np.array(c) for c in chunk if c is not None]
-            for xc, e in zip(pts, ev.eval_many(pts)):
+            for xc, e in ev.eval_many(pts):
                 if math.isfinite(e.score):
                     found = (xc, e)
                     break
@@ -435,7 +460,7 @@ def oracle_opf(net: Network, inp: HorizonInput,
     for _pass in range(6):  # initial grid + 5 refinements
         axes = [np.linspace(lo[i], hi[i], grid_points) for i in range(nst)]
         pts = [np.array(c) for c in itertools.product(*axes)]
-        for xc, e in zip(pts, ev.eval_many(pts)):
+        for xc, e in ev.eval_many(pts):
             if e.score > best_e.score:
                 best_x, best_e = xc, e
         if best_x is None:

@@ -4,7 +4,9 @@ realized updates. The state is the complex bus voltage throughout; each
 kernel function takes K cases as (K, n) arrays. ``solve_power_flow`` is the
 K = 1 call, and ``evaluate_point`` runs injections, solve and objective at
 one operating point: a reported OPF row, ``evaluate_objective`` and each
-realized update.
+realized update. The OPF search also pins cases of the iteration: a
+pinned case lowers one station's wind until the slack's active power is
+zero, so a point lands on the reverse-flow boundary within its own solve.
 
 The slack bus balances the network: its active/reactive injection and the
 total losses come out of the solve. All buses except the slack are PQ.
@@ -104,13 +106,26 @@ def _products(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def zbus_iterate(y: np.ndarray, s_pu: np.ndarray, vc: np.ndarray,
-                 tol: float, max_iter: int, z: np.ndarray | None):
+                 tol: float, max_iter: int, z: np.ndarray | None,
+                 pin=None):
     """Implicit Z-bus iteration ``V_l <- Z·(conj(S_l / V_l) - Y_l0·V_0)``
     over K independent cases of complex bus voltages ``vc`` and specified
     complex injections ``s_pu`` (slack entries ignored), (K, n) arrays,
     taken as the correction ``Z·conj(dS / V_l)`` by the power mismatch dS.
     ``z`` is ``zbus(y)``, the cached ``net.Z`` when ``y`` is ``net.Y``, and
     None when ``y[1:, 1:]`` is singular.
+
+    ``pin`` optionally slides one station per case down onto p_s = 0
+    inside the iteration. It is a tuple ``(bus, w, beta, p_tol)``: (K,)
+    arrays of the station's bus index (0 leaves the case unpinned), its
+    available wind (pu) and its curtailment factor, updated in place, and
+    a slack tolerance (pu). Each iteration moves beta to where the slack
+    active power that the current mismatch predicts, p0 - sum Re(dS_l), is
+    zero, clipped to [0, start beta], so the slide only ever lowers wind;
+    p0 is the slack power of ``slack_power`` at the current voltages. A
+    pinned case stops when its mismatch is within tol and either
+    |p0| <= p_tol or its beta cannot move: it imports at its start beta,
+    or it exports at beta = 0.
 
     Updates vc in place. Returns four (K,) arrays: converged (max P/Q
     mismatch <= tol), the iteration count, the final max mismatch (pu), and
@@ -126,28 +141,69 @@ def zbus_iterate(y: np.ndarray, s_pu: np.ndarray, vc: np.ndarray,
     # the cases still iterating: their indices, states and injections; the
     # arrays are sliced only when a case stops
     idx, va, sa = np.arange(k), vc, s_pu[:, 1:]
+    if pin is not None:
+        bus, w, beta, p_tol = pin
+        sa = sa.copy()
+        # per active case: the wind, start beta and beta of its station;
+        # an unpinned case holds beta = start = 0, a station without room,
+        # so it stops on the mismatch alone
+        pw = np.where(bus > 0, w, 1.0)
+        top = np.where(bus > 0, beta, 0.0)
+        pb = top.copy()
+        # the pinned cases among the active ones, and their stations' flat
+        # index in sa
+        r = np.flatnonzero(bus)
+        f = r * sa.shape[1] + bus[r] - 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(max_iter + 1):
             ds = sa - va[:, 1:] * np.conj(_products(y_l, va))
             # max over the P and the Q mismatches at once
             res = np.abs(ds.view(float)).max(axis=1, initial=0.0)
-            ok = res <= tol
-            go = ~ok & np.isfinite(res)
+            ok = done = res <= tol
+            if pin is not None:
+                # the beta at which the slack power the mismatch predicts,
+                # p0 - sum Re(dS_l), is zero; a case is done on p_s = 0 or
+                # where its beta cannot move
+                p0 = _slack_active(y, va)[0]
+                bn = np.minimum(np.maximum(
+                    pb + (p0 - ds.real.sum(axis=1)) / pw, 0.0), top)
+                done = ok & ((np.abs(p0) <= p_tol) | (bn == pb))
+            go = ~done & np.isfinite(res)
             if it == max_iter or z is None or not go.all():
                 iterations[idx] = it
                 residual[idx] = res
                 converged[idx] = ok
                 if va is not vc:
                     vc[idx] = va
+                if pin is not None:
+                    beta[idx[r]] = pb[r]
                 if it == max_iter or not go.any():
                     break
                 if z is None:
                     singular[idx[go]] = True
                     break
                 idx, va, sa, ds = idx[go], va[go], sa[go], ds[go]
+                if pin is not None:
+                    pw, top, pb, bn = pw[go], top[go], pb[go], bn[go]
+                    r = np.flatnonzero(bus[idx])
+                    f = r * sa.shape[1] + bus[idx[r]] - 1
+            if pin is not None:
+                d = ((bn - pb) * pw)[r]
+                sa.reshape(-1)[f] += d
+                ds.reshape(-1)[f] += d
+                pb = bn
             vl = va[:, 1:]
             va[:, 1:] = vl + _products(z, np.conj(ds / vl))
     return converged, iterations, residual, singular
+
+
+def _slack_active(y: np.ndarray, vc: np.ndarray):
+    """Slack active power (pu) at K complex states, from row 0 of ``Y·V``,
+    with the slack voltage and current: S = V conj(I) in real arithmetic,
+    each product rounded on its own (numpy's vectorized complex product may
+    fuse multiply-adds)."""
+    v0, i0 = vc[:, 0], _products(y[:1], vc)[:, 0]
+    return v0.real * i0.real + v0.imag * i0.imag, v0, i0
 
 
 def slack_power(net: Network, y: np.ndarray, p_mw: np.ndarray,
@@ -157,10 +213,8 @@ def slack_power(net: Network, y: np.ndarray, p_mw: np.ndarray,
     ``p_mw``. The losses follow from the balance: the slack covers demand
     minus wind plus losses.
     """
-    v0, i0 = vc[:, 0], _products(y[:1], vc)[:, 0]
-    # S = V conj(I) in real arithmetic, each product rounded on its own
-    # (numpy's vectorized complex product may fuse multiply-adds)
-    p_s = (v0.real * i0.real + v0.imag * i0.imag) * net.base_mva
+    p, v0, i0 = _slack_active(y, vc)
+    p_s = p * net.base_mva
     q_s = (v0.imag * i0.real - v0.real * i0.imag) * net.base_mva
     return p_s, q_s, p_s + p_mw[:, 1:].sum(axis=1)
 

@@ -22,7 +22,8 @@ from .network import Network
 from .opf import HorizonInput, OPFOptions, STATUS_OPTIMAL
 from .powerflow import (PowerFlowError, PowerFlowSolution, check_limits,
                         evaluate_point)
-from .profiles import DayProfiles, SLOTS_PER_DAY, validate_profiles
+from .profiles import (DayProfiles, SLOTS_PER_DAY, UPDATES_PER_SLOT,
+                       validate_profiles)
 from .scenarios import (LevelWidths, LookupTable, WindLevels,
                         build_lookup_table, enumerate_scenarios, make_levels,
                         scenario_index)
@@ -170,13 +171,21 @@ def run_day(net: Network, profiles: DayProfiles,
     with ``enforce_deadline`` a budget overrun falls back to the previous
     horizon's table (stale-table policy), otherwise the overrun is only
     counted. The first horizon has no previous table: its overrun is logged
-    and its late table used.
+    and its late table used. ``n_horizons`` must lie in 1..SLOTS_PER_DAY,
+    and the timing must hold UPDATES_PER_SLOT updates a horizon, the
+    profiles' resolution; otherwise ValueError, before any table is built.
     """
     validate_profiles(profiles, net)
     station_buses = [s.bus for s in net.stations]
     rated = [s.rated_power for s in net.stations]
     upd = timing.updates_per_horizon
+    if upd != UPDATES_PER_SLOT:
+        raise ValueError(f"{upd} updates per horizon; the profiles hold "
+                         f"{UPDATES_PER_SLOT} per slot")
     total = SLOTS_PER_DAY if n_horizons is None else n_horizons
+    if not 1 <= total <= SLOTS_PER_DAY:
+        raise ValueError(f"horizons must lie in 1..{SLOTS_PER_DAY}, "
+                         f"got {total}")
     forecast_pos = tuple([4] * len(station_buses))  # the all-M scenario
 
     records: list[TraceRecord] = []

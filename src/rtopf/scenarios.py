@@ -157,9 +157,11 @@ def build_lookup_table(net: Network, inp: HorizonInput,
 
     Scenario solves are independent and deterministic, so the table is
     identical for any worker count; results are gathered by scenario index.
+    Invalid horizon input raises ValueError before any row is solved.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    inp = inp.validated(net)
     t0 = time.perf_counter()
     tasks = [(net, inp, sc, opts) for sc in scenarios]
     if workers == 1:

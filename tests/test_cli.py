@@ -127,3 +127,26 @@ def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_invalid_horizon_input_exits_3_from_every_command(tmp_path, capsys):
+    # each row of a table validates its input too, but the table must not
+    # turn one input error into 49 failed rows (exit 5)
+    horizon = json.loads((DATA / "horizon1.json").read_text())
+    for field, value in (("price_p", float("nan")), ("price_q", -0.4)):
+        bad = tmp_path / f"{field}.json"
+        bad.write_text(json.dumps(dict(horizon, **{field: value})))
+        for cmd in ("solve-opf", "build-table"):
+            assert main([cmd, "--input", str(bad), "--out", "/dev/null"]) == 3
+            err = capsys.readouterr().err
+            assert "prices must be finite and non-negative" in err
+            assert "built" not in err
+    assert main(["simulate", "--price-p", "nan", "--horizons", "1",
+                 "--out", "/dev/null"]) == 3
+    assert "prices" in capsys.readouterr().err
+
+
+def test_simulate_rejects_horizon_counts_outside_the_day(capsys):
+    for n in ("-3", "0", "100000"):
+        assert main(["simulate", "--horizons", n, "--out", "/dev/null"]) == 3
+        assert "horizons must lie in 1..720" in capsys.readouterr().err

@@ -9,8 +9,8 @@ from rtopf import opf
 from rtopf.opf import (FAST_OPTS, HorizonInput, OPFOptions, POLISH_STEP,
                        POLISH_STEP_MIN, STATUS_FAILURE, STATUS_INFEASIBLE,
                        STATUS_OPTIMAL, SURFACE_TOL, TOL_OBJ, _Evaluator,
-                       _moves, _to_surface, evaluate_objective, oracle_opf,
-                       solve_opf)
+                       _moves, _poll, _to_surface, evaluate_objective,
+                       oracle_opf, solve_opf)
 from rtopf.profiles import ProfileGenConfig, gen_day_profiles
 from rtopf.scenarios import (build_lookup_table, enumerate_scenarios,
                              make_levels)
@@ -184,7 +184,8 @@ def test_infeasible_when_voltage_band_unreachable():
 
 def test_failure_status_when_budget_too_small():
     net = one_station_net()
-    tiny = OPFOptions(max_evals=5)
+    # the seed grid's evaluations only, so the polish never starts
+    tiny = OPFOptions(max_evals=opf.COARSE_GRID ** len(net.stations))
     sol = solve_opf(net, make_input(net, {2: 3.0}, {3: 8.0}), tiny)
     assert sol.status == STATUS_FAILURE
     assert "budget" in sol.message
@@ -273,12 +274,16 @@ def test_no_polish_move_improves_the_returned_point(net41, horizon1):
         ev = _Evaluator(net41, inp)
         x = np.array(sol.beta)
         score = ev(x).score
+        polled, seen = [], {tuple(x)}
         for step in steps:
             for i, di, j, dj in _moves(x.size, ev.wind):
                 xn = x.copy()
                 xn[i] = min(1.0, max(0.0, x[i] + di * step))
                 if j is not None:
                     xn[j] = min(1.0, max(0.0, x[j] + dj * step))
+                if tuple(xn) not in seen:
+                    seen.add(tuple(xn))
+                    polled.append((tuple(xn), i if di > 0 else -1))
                 e = ev(xn)
                 if e.p_s < -SURFACE_TOL:  # projected as the poll does
                     landed = _to_surface(
@@ -287,19 +292,23 @@ def test_no_polish_move_improves_the_returned_point(net41, horizon1):
                         continue
                     e = landed[0][1]
                 assert e.score <= score + TOL_OBJ, (inp, step, i, j)
+        # the poll evaluates these points, in this order, in one call
+        cands, raised = _poll(x, _moves(x.size, ev.wind))
+        assert [(tuple(c), r) for c, r in zip(cands, raised)] == polled
 
 
 def test_reference_table_takes_few_kernel_calls(net41, horizon1,
                                                 monkeypatch):
-    # one batched call per poll round and per projection round keeps the
-    # table near 400 search calls; a polish that polls one step size per
-    # call makes about 1000
+    # one batched call for the seed grid and one per poll round, each
+    # landing its crossers on p_s = 0 inside the kernel, keeps the table
+    # near 100 search calls; a second call per round for the projection
+    # made 404, and a polish that polls one step size per call about 1000
     calls = []
     kernel = opf.zbus_iterate
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(len(args[2]))
-        return kernel(*args)
+        return kernel(*args, **kwargs)
     monkeypatch.setattr(opf, "zbus_iterate", counted)
     buses = [s.bus for s in net41.stations]
     levels = make_levels([horizon1.wind_available[b] for b in buses], None,
@@ -308,4 +317,4 @@ def test_reference_table_takes_few_kernel_calls(net41, horizon1,
                                levels)
     assert all(sol.status == STATUS_OPTIMAL for _, sol in table.rows)
     assert sum(calls) == sum(sol.evals for _, sol in table.rows)
-    assert 0 < len(calls) <= 450
+    assert 0 < len(calls) <= 115

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rtopf.network import build_admittance
+from rtopf.opf import SURFACE_TOL
 from rtopf.powerflow import (DEFAULT_MAX_ITER, DEFAULT_TOL, InjectionSpec,
                              NonConvergence, PowerFlowError, check_limits,
                              slack_power, solve_power_flow, zbus_iterate)
@@ -279,3 +280,77 @@ def test_batch_matches_separate_solves_bitwise(net41):
         assert np.array_equal(np.abs(vc[k]), sol.v)
         assert np.array_equal(np.angle(vc[k]), sol.theta)
         assert p_s[k] == sol.p_s and q_s[k] == sol.q_s
+
+    # a mixed batch: cases pinned onto p_s = 0 through the station at bus
+    # 2 or 16 and unpinned ones (bus 0); each case and its beta must match
+    # its own separate call, and an unpinned one its call without a pin
+    base, n = net41.base_mva, len(specs)
+    stations = net41.station_index[np.arange(n) % 2]
+    bus = np.where(np.arange(n) % 3 == 2, 0, stations)
+    wind = rng.uniform(4.0, 16.0, size=n)
+    beta0 = rng.uniform(0.5, 1.0, size=n)
+    p_w = p.copy()
+    p_w[np.arange(n), stations] += beta0 * wind
+    s_w = p_w / base + 1j * (q / base)
+
+    def pinned(rows):
+        vc = np.ones((len(rows), net41.n_buses), dtype=complex)
+        beta = beta0[rows].copy()
+        out = zbus_iterate(net41.Y, s_w[rows], vc, DEFAULT_TOL,
+                           DEFAULT_MAX_ITER, net41.Z,
+                           pin=(bus[rows], wind[rows] / base, beta,
+                                SURFACE_TOL / base))
+        return out, vc, beta
+    (converged, iterations, residual, _), vc, beta = pinned(np.arange(n))
+    for k in range(n):
+        (c1, i1, r1, _), v1, b1 = pinned([k])
+        assert (converged[k], iterations[k]) == (c1[0], i1[0])
+        assert np.array_equal(residual[k], r1[0], equal_nan=True)
+        assert np.array_equal(vc[k], v1[0], equal_nan=True)
+        assert beta[k] == b1[0]
+        if bus[k] == 0:
+            v2 = np.ones((1, net41.n_buses), dtype=complex)
+            zbus_iterate(net41.Y, s_w[[k]], v2, DEFAULT_TOL,
+                         DEFAULT_MAX_ITER, net41.Z)
+            assert np.array_equal(vc[k], v2[0], equal_nan=True)
+            assert beta[k] == beta0[k]
+    slid = (bus > 0) & converged & (beta < beta0)
+    assert slid.sum() >= 2
+    p_s, _, _ = slack_power(net41, net41.Y, p_w, vc)
+    assert np.abs(p_s[slid]).max() <= SURFACE_TOL
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 10),
+       st.floats(0.0, 1.0), st.floats(0.0, 3.0))
+def test_pin_lands_exporting_cases_on_zero_slack_power(seed, n, beta0,
+                                                      excess):
+    # one station on a random feeder, at beta0 of a wind of up to ``excess``
+    # times the load: an exporting case slides down to |p_s| <= SURFACE_TOL,
+    # and a case that imports at beta0 keeps it bitwise
+    rng = np.random.default_rng(seed)
+    net = random_radial_net(rng, n)
+    load_p = rng.uniform(0.0, 1.5, size=n - 1)
+    load_q = rng.uniform(0.0, 0.5, size=n - 1)
+    station = int(rng.integers(1, n))
+    wind = excess * load_p.sum()
+    p = np.concatenate([[0.0], -load_p])
+    p[station] += beta0 * wind
+    s = (p + 1j * np.concatenate([[0.0], -load_q]))[None, :] / net.base_mva
+
+    def solve(pin):
+        vc = np.ones((1, n), dtype=complex)
+        converged, _, _, _ = zbus_iterate(net.Y, s, vc, DEFAULT_TOL,
+                                          DEFAULT_MAX_ITER, net.Z, pin=pin)
+        assume(converged[0])
+        return vc
+    p_s0 = slack_power(net, net.Y, p[None, :], solve(None))[0][0]
+    beta = np.array([beta0])
+    vc = solve((np.array([station]), np.array([wind / net.base_mva]), beta,
+                SURFACE_TOL / net.base_mva))
+    if p_s0 > SURFACE_TOL:
+        assert beta[0] == beta0
+    else:
+        assert 0.0 <= beta[0] <= beta0
+        assert abs(slack_power(net, net.Y, p[None, :], vc)[0][0]) \
+            <= SURFACE_TOL

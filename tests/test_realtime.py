@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtopf import realtime
 from rtopf.opf import FAST_OPTS, HorizonInput, evaluate_objective
-from rtopf.profiles import (ProfileGenConfig, UPDATES_PER_SLOT,
-                            gen_day_profiles)
+from rtopf.profiles import (ProfileGenConfig, SLOTS_PER_DAY,
+                            UPDATES_PER_SLOT, gen_day_profiles)
 from rtopf.realtime import (TimingConfig, apply_and_realize, run_day,
                             select_positions, select_scenario,
                             summary_to_text, trace_to_csv)
@@ -200,3 +201,21 @@ def test_trace_csv_and_summary_text():
     summary = summary_to_text(run.summary)
     assert "updates: 6" in summary
     assert "violation_intervals:" in summary
+
+
+def test_run_day_rejects_what_it_cannot_serve(monkeypatch):
+    # a horizon count outside the day, or a timing whose updates do not
+    # match the profiles' 20 s slots, fails before the first table
+    net, profiles = day_fixture()
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(realtime, "build_lookup_table", no_build)
+    for n in (0, -3, SLOTS_PER_DAY + 1, 100000):
+        with pytest.raises(ValueError, match="horizons"):
+            run_day(net, profiles, opts=FAST_OPTS, n_horizons=n)
+    for timing in (TimingConfig(update=10.0), TimingConfig(update=40.0)):
+        assert timing.updates_per_horizon != UPDATES_PER_SLOT
+        with pytest.raises(ValueError, match="updates per horizon"):
+            run_day(net, profiles, timing=timing, opts=FAST_OPTS,
+                    n_horizons=1)
