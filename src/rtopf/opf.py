@@ -37,9 +37,9 @@ import numpy as np
 
 from .network import Network
 from .powerflow import (DEFAULT_TOL, ConstraintReport, InjectionSpec,
-                        PowerFlowSolution, branch_flows, check_limits,
-                        evaluate_point, injections, limit_margins, objective,
-                        slack_power, zbus_iterate)
+                        PowerFlowError, PowerFlowSolution, branch_flows,
+                        check_limits, evaluate_point, injections,
+                        limit_margins, objective, slack_power, zbus_iterate)
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -128,6 +128,11 @@ class _Eval(NamedTuple):
     converged: bool
     state: np.ndarray | None = None  # complex bus voltages (pu) if converged
 
+    @property
+    def start(self) -> tuple[np.ndarray, np.ndarray]:
+        """The converged state as a (v, theta) warm start."""
+        return np.abs(self.state), np.angle(self.state)
+
 
 _FAILED_EVAL = _Eval(-math.inf, math.nan, False, False)
 
@@ -202,15 +207,16 @@ class _Evaluator:
     def __call__(self, x: np.ndarray) -> _Eval:
         return self.eval_many([x])[0][1]
 
-    def full_solution(self, beta: np.ndarray, e: _Eval, status: str,
+    def full_solution(self, beta: np.ndarray, start, status: str,
                       message: str = "") -> OPFSolution:
-        """Re-solve at beta through ``evaluate_point``, starting from the
-        state of its converged evaluation ``e``, and attach the report."""
+        """Re-solve at beta through ``evaluate_point`` from the (v, theta)
+        warm ``start`` and attach the report. The re-solve is not counted
+        in ``evals``, which counts the search's evaluations."""
         inp = self.inp
         pf, (f, f1, f2, f3, f4) = evaluate_point(
             self.net, inp.demand_p, inp.demand_q, self.wind, beta,
             inp.price_p, inp.price_q, tol=PF_TOL, max_iter=PF_MAX_ITER,
-            start=(np.abs(e.state), np.angle(e.state)))
+            start=start)
         return OPFSolution(
             beta=tuple(float(b) for b in beta),
             p_s=pf.p_s, q_s=pf.q_s, p_loss=pf.p_loss,
@@ -375,8 +381,48 @@ def _polish(ev: _Evaluator, x: np.ndarray, e: _Eval, max_evals: int):
     return x, e, False
 
 
+def _reuse(ev: _Evaluator, incumbent) -> OPFSolution | None:
+    """The optimum of ``incumbent`` = (input A, solution A) as the optimum
+    of ``ev``'s input B, or None when A does not qualify.
+
+    f and every constraint depend on beta only through the injection
+    P = beta * w, and a row's wind w only sets the box 0 <= P <= w. So when
+    A is optimal, has B's demand and prices, A's box contains B's
+    (w_B <= w_A) and P_A lies in B's box (P_A <= w_B), P_A is optimal for
+    B too. B's beta keeps beta_A where w_B = w_A, and where w_B = 0 (there
+    P_A = 0, so beta_A = 0 unless w_A = 0 too); elsewhere it is
+    P_A / w_B. The point is re-solved from A's state, and a re-solve that
+    fails or breaks a limit rejects A too.
+    """
+    inp_a, sol_a = incumbent
+    inp = ev.inp
+    if (sol_a.status != STATUS_OPTIMAL
+            or (inp.demand_p, inp.demand_q, inp.price_p, inp.price_q)
+            != (inp_a.demand_p, inp_a.demand_q, inp_a.price_p,
+                inp_a.price_q)):
+        return None
+    w_a, w_b = _wind(ev.net, inp_a), ev.wind
+    beta_a = np.array(sol_a.beta)
+    p_a = beta_a * w_a
+    if not (np.all(w_b <= w_a) and np.all(p_a <= w_b)):
+        return None
+    keep = (w_b == w_a) | (w_b == 0)
+    beta = np.where(keep, beta_a, np.clip(
+        p_a / np.where(keep, 1.0, w_b), 0.0, 1.0))
+    try:
+        sol = ev.full_solution(beta, (sol_a.power_flow.v,
+                                      sol_a.power_flow.theta),
+                               STATUS_OPTIMAL,
+                               "optimum reused from an earlier row")
+    except PowerFlowError:
+        return None
+    return sol if sol.report.ok else None
+
+
 def solve_opf(net: Network, inp: HorizonInput,
-              opts: OPFOptions | None = None) -> OPFSolution:
+              opts: OPFOptions | None = None,
+              incumbent: tuple[HorizonInput, OPFSolution] | None = None
+              ) -> OPFSolution:
     """Optimal curtailment factors for one scenario.
 
     status 'optimal': all constraints hold within TOL_CONS and the
@@ -385,6 +431,12 @@ def solve_opf(net: Network, inp: HorizonInput,
     violation-free converged power flow.
     status 'solver_failure': the evaluation budget ran out before the
     search converged; the best point found so far is attached.
+
+    ``incumbent`` optionally gives an earlier row of the same horizon as
+    (its input, its solution). When its optimum is provably this row's
+    (``_reuse``), one warm re-solve at this row's beta replaces the search:
+    the solution is 'optimal' with ``evals`` 0 and says so in ``message``.
+    Otherwise the incumbent is ignored and the search runs as without it.
     """
     opts = opts or OPFOptions()
     inp = inp.validated(net)
@@ -394,10 +446,14 @@ def solve_opf(net: Network, inp: HorizonInput,
     # degenerate flat objectives (no stations among them): beta = (1, ..., 1)
     degenerate = (not np.any(ev.wind > 0)) or (
         inp.price_p == 0 and inp.price_q == 0)
+    if incumbent is not None and not degenerate:
+        reused = _reuse(ev, incumbent)
+        if reused is not None:
+            return reused
     if degenerate:
         e = ev(ones)
         if e.feasible:
-            return ev.full_solution(ones, e, STATUS_OPTIMAL)
+            return ev.full_solution(ones, e.start, STATUS_OPTIMAL)
         if not np.any(ev.wind > 0):
             return _failed(nst, STATUS_INFEASIBLE, ev.evals,
                            "infeasible at every beta (zero wind)")
@@ -433,10 +489,10 @@ def solve_opf(net: Network, inp: HorizonInput,
 
     best_x, best_e, converged = _polish(ev, best_x, best_e, opts.max_evals)
     if not converged:
-        return ev.full_solution(best_x, best_e, STATUS_FAILURE,
+        return ev.full_solution(best_x, best_e.start, STATUS_FAILURE,
                                 f"evaluation budget exhausted before the "
                                 f"polish converged ({ev.evals} evals)")
-    return ev.full_solution(best_x, best_e, STATUS_OPTIMAL)
+    return ev.full_solution(best_x, best_e.start, STATUS_OPTIMAL)
 
 
 def oracle_opf(net: Network, inp: HorizonInput,
@@ -470,4 +526,4 @@ def oracle_opf(net: Network, inp: HorizonInput,
         half = (hi - lo) / 10.0
         lo = np.clip(best_x - half, 0.0, 1.0)
         hi = np.clip(best_x + half, 0.0, 1.0)
-    return ev.full_solution(best_x, best_e, STATUS_OPTIMAL)
+    return ev.full_solution(best_x, best_e.start, STATUS_OPTIMAL)

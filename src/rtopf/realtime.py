@@ -46,8 +46,9 @@ class TimingConfig:
         ratio = self.horizon / self.update
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("horizon must be an integer multiple of update")
-        if not self.compute_budget < self.horizon:
-            raise ValueError("compute_budget must be below the horizon")
+        if not 0 < self.compute_budget < self.horizon:
+            raise ValueError("compute_budget must be positive and below "
+                             "the horizon")
 
     @property
     def updates_per_horizon(self) -> int:

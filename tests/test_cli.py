@@ -150,3 +150,16 @@ def test_simulate_rejects_horizon_counts_outside_the_day(capsys):
     for n in ("-3", "0", "100000"):
         assert main(["simulate", "--horizons", n, "--out", "/dev/null"]) == 3
         assert "horizons must lie in 1..720" in capsys.readouterr().err
+
+
+def test_deadline_must_be_a_positive_finite_number(capsys):
+    for value in ("-1", "0", "nan", "inf"):
+        assert main(["build-table", "--deadline", value,
+                     "--out", "/dev/null"]) == 3
+        err = capsys.readouterr().err
+        assert "deadline must be a positive finite number" in err
+        assert "built" not in err
+    for value in ("-1", "0", "nan"):
+        assert main(["simulate", "--horizons", "2", "--deadline", value,
+                     "--out", "/dev/null"]) == 3
+        assert "compute_budget must be positive" in capsys.readouterr().err

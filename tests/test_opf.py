@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtopf import opf
+from rtopf import opf, scenarios
 from rtopf.opf import (FAST_OPTS, HorizonInput, OPFOptions, POLISH_STEP,
                        POLISH_STEP_MIN, STATUS_FAILURE, STATUS_INFEASIBLE,
                        STATUS_OPTIMAL, SURFACE_TOL, TOL_OBJ, _Evaluator,
@@ -299,10 +300,11 @@ def test_no_polish_move_improves_the_returned_point(net41, horizon1):
 
 def test_reference_table_takes_few_kernel_calls(net41, horizon1,
                                                 monkeypatch):
-    # one batched call for the seed grid and one per poll round, each
-    # landing its crossers on p_s = 0 inside the kernel, keeps the table
-    # near 100 search calls; a second call per round for the projection
-    # made 404, and a polish that polls one step size per call about 1000
+    # one search per block (7 of the 49 rows; the others reuse a containing
+    # row's optimum with an uncounted re-solve), each taking one batched
+    # call for the seed grid and one per poll round, keeps the table at 14
+    # search calls; searching every row made 101, a second call per round
+    # for the projection 404, and polling one step size per call about 1000
     calls = []
     kernel = opf.zbus_iterate
 
@@ -317,4 +319,101 @@ def test_reference_table_takes_few_kernel_calls(net41, horizon1,
                                levels)
     assert all(sol.status == STATUS_OPTIMAL for _, sol in table.rows)
     assert sum(calls) == sum(sol.evals for _, sol in table.rows)
-    assert 0 < len(calls) <= 115
+    assert 0 < len(calls) <= 20
+
+
+def solution_key(sol):
+    """Every field of a solution, the power-flow state bitwise."""
+    pf = sol.power_flow
+    return (repr((sol.beta, sol.p_s, sol.q_s, sol.p_loss, sol.f, sol.f1,
+                  sol.f2, sol.f3, sol.f4, sol.status, sol.evals,
+                  sol.message)),
+            None if pf is None else (pf.v.tobytes(), pf.theta.tobytes(),
+                                     pf.iterations, pf.max_residual))
+
+
+def test_rejected_incumbent_changes_nothing(net41, horizon1):
+    row = horizon1.with_wind({2: 3.8, 16: 7.05})
+    plain = solve_opf(net41, row)
+    # an accepted incumbent: more wind at station 16, and its optimum lies
+    # inside the row's box
+    wider = row.with_wind({2: 3.8, 16: 8.55})
+    ok = (wider, solve_opf(net41, wider))
+    reused = solve_opf(net41, row, incumbent=ok)
+    assert reused.evals == 0 and "reused" in reused.message
+    assert reused.status == STATUS_OPTIMAL
+    narrower = row.with_wind({2: 3.8, 16: 6.0})
+    larger = row.with_wind({2: 5.3, 16: 8.55})  # optimum at 5.3 MW > 3.8
+    unpriced = replace(wider, price_p=0.0, price_q=0.0)
+    rejected = [
+        (narrower, solve_opf(net41, narrower)),
+        (larger, solve_opf(net41, larger)),
+        (wider, replace(ok[1], status=STATUS_FAILURE)),
+        # claims optimal at beta = (1, 1), where the row exports: the
+        # re-solve breaks the reverse-flow limit
+        (row, replace(plain, beta=(1.0, 1.0))),
+        (replace(wider, demand_p={**wider.demand_p, 41: 0.5}), ok[1]),
+        (replace(wider, demand_q={**wider.demand_q, 41: 0.5}), ok[1]),
+        (replace(wider, price_p=2.0), ok[1]),
+        (replace(wider, price_q=0.5), ok[1]),
+    ]
+    for incumbent in rejected:
+        assert (solution_key(solve_opf(net41, row, incumbent=incumbent))
+                == solution_key(plain))
+    # zero prices: the degenerate beta = 1 branch is never reused, even
+    # from an incumbent that would otherwise qualify
+    row0 = replace(row, price_p=0.0, price_q=0.0)
+    assert (solution_key(solve_opf(net41, row0, incumbent=(unpriced, ok[1])))
+            == solution_key(solve_opf(net41, row0)))
+
+
+def test_reuse_keeps_beta_at_a_station_without_wind(net41, horizon1):
+    # where the row has no wind the incumbent's injection there is 0, and
+    # the row keeps the incumbent's beta (0) rather than dividing 0 by 0
+    row = horizon1.with_wind({2: 3.8, 16: 0.0})
+    own = solve_opf(net41, row)
+    incumbent = (row.with_wind({2: 3.8, 16: 2.0}),
+                 replace(own, beta=(own.beta[0], 0.0)))
+    sol = solve_opf(net41, row, incumbent=incumbent)
+    assert sol.evals == 0 and "reused" in sol.message
+    assert sol.beta == (own.beta[0], 0.0)
+    assert sol.f == pytest.approx(own.f, abs=1e-9)
+    assert sol.report.ok
+
+
+def test_reused_rows_hold_their_incumbents_optimum(net41, horizon1,
+                                                   monkeypatch):
+    # rows of random tables that take an earlier row's optimum: the same
+    # injection, on the reverse-flow boundary, and no worse than their own
+    # search within the slack of acceptance criterion 9
+    solved = []
+    real = scenarios.solve_opf
+
+    def recorded(net, inp, opts=None, incumbent=None):
+        sol = real(net, inp, opts, incumbent=incumbent)
+        solved.append((inp, incumbent, sol))
+        return sol
+    monkeypatch.setattr(scenarios, "solve_opf", recorded)
+    buses = [s.bus for s in net41.stations]
+    rated = [s.rated_power for s in net41.stations]
+    reused = 0
+    for inp in random_horizons(horizon1, net41, 8):
+        levels = make_levels([inp.wind_available[b] for b in buses], None,
+                             rated)
+        build_lookup_table(net41, inp, enumerate_scenarios(levels), levels)
+    for inp, incumbent, sol in solved:
+        if sol.evals > 0 or sol.status != STATUS_OPTIMAL:
+            continue
+        reused += 1
+        inp_a, sol_a = incumbent
+        assert sol.report.ok
+        assert abs(sol.p_s) <= opf.TOL_CONS
+        for k, b in enumerate(buses):
+            assert (sol.beta[k] * inp.wind_available[b]
+                    == pytest.approx(sol_a.beta[k] * inp_a.wind_available[b],
+                                     abs=1e-9))
+            if inp.wind_available[b] == inp_a.wind_available[b]:
+                assert sol.beta[k] == sol_a.beta[k]
+        own = real(net41, inp)
+        assert sol.f >= own.f - 1e-5 * max(1.0, abs(own.f))
+    assert reused >= 100

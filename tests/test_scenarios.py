@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,3 +175,15 @@ def test_table_to_csv_shape():
     # floats are serialized with full precision
     rebuilt = build_lookup_table(net, inp, scens, levels, opts=FAST_OPTS)
     assert table_to_csv(rebuilt, [3]) == table_to_csv(table, [3])
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool's module loads only for a build with more than one worker
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rtopf; print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
