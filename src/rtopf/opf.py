@@ -24,6 +24,11 @@ another station.
 The receding-horizon controller solves tens of thousands of these problems
 per simulated day, so the evaluator batches candidate points through the
 batched Z-bus power flow of ``rtopf.powerflow``, on complex bus voltages.
+Each evaluation keeps what its batch computed (state, slack power, flows,
+limit margins, objective terms), and a reported solution is assembled from
+the batch row that scored its point, so no point is solved twice. A row
+that reuses an earlier row's optimum (``solve_opf``'s incumbent) is
+certified by one mismatch check of that row's state at its own injection.
 """
 
 from __future__ import annotations
@@ -37,9 +42,10 @@ import numpy as np
 
 from .network import Network
 from .powerflow import (DEFAULT_TOL, ConstraintReport, InjectionSpec,
-                        PowerFlowError, PowerFlowSolution, branch_flows,
-                        check_limits, evaluate_point, injections,
-                        limit_margins, objective, slack_power, zbus_iterate)
+                        PowerFlowSolution, branch_flows, check_limits,
+                        evaluate_point, injections, limit_margins, objective,
+                        power_mismatch, slack_power, start_state,
+                        zbus_iterate)
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -120,21 +126,44 @@ class OPFOptions:
 FAST_OPTS = OPFOptions()
 
 
+class _Batch(NamedTuple):
+    """What one kernel call computed, each a per-case (K, ...) array."""
+    state: np.ndarray       # complex bus voltages (pu)
+    p_s: np.ndarray         # MW
+    q_s: np.ndarray         # Mvar
+    p_loss: np.ndarray      # MW
+    flows: np.ndarray       # MVA per branch
+    values: np.ndarray      # every constraint, ``limit_margins`` order
+    margins: np.ndarray
+    terms: tuple            # f, f1, f2, f3, f4
+    iterations: np.ndarray
+    residual: np.ndarray    # pu
+
+
 class _Eval(NamedTuple):
     """Result of one objective evaluation."""
     score: float  # the objective where feasible, -inf otherwise
     p_s: float    # MW
     feasible: bool
     converged: bool
-    state: np.ndarray | None = None  # complex bus voltages (pu) if converged
+    batch: _Batch | None = None  # the call that evaluated it, if converged
+    row: int = -1                # and its case in that call
 
     @property
-    def start(self) -> tuple[np.ndarray, np.ndarray]:
-        """The converged state as a (v, theta) warm start."""
-        return np.abs(self.state), np.angle(self.state)
+    def state(self) -> np.ndarray:
+        """The converged complex bus voltages (pu)."""
+        return self.batch.state[self.row]
 
 
 _FAILED_EVAL = _Eval(-math.inf, math.nan, False, False)
+
+
+def _frozen(a) -> np.ndarray:
+    """A read-only copy: a reported row owns its arrays, and a reused row
+    shares its incumbent's."""
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
 
 
 class _Evaluator:
@@ -143,7 +172,8 @@ class _Evaluator:
     All candidate points of a search round go through one batched power-flow
     solve. Batches warm-start from the last best converged state, kept as
     complex bus voltages; the evaluation order is deterministic, so results
-    do not depend on worker scheduling.
+    do not depend on worker scheduling. Each evaluation keeps its call's
+    results, from which ``solution`` reports the point.
     """
 
     def __init__(self, net: Network, inp: HorizonInput):
@@ -154,8 +184,13 @@ class _Evaluator:
         self.wind = _wind(net, inp)
         self._q_pu = -self.demand.q_mvar / net.base_mva
         self.evals = 0
-        self._warm = np.full(net.n_buses, net.slack_voltage
-                             * np.exp(1j * net.slack_angle))
+        self._warm = start_state(net)[0]
+
+    def injected(self, beta: np.ndarray):
+        """``injections`` at (K, stations) betas: the active injections
+        (MW), the complex injections (pu) and the wind injected per case."""
+        p, _, injected = injections(self.net, self.demand, self.wind, beta)
+        return p, p / self.net.base_mva + 1j * self._q_pu, injected
 
     def eval_many(self, xs: Sequence[np.ndarray], slide=None,
                   start=None) -> list[tuple[np.ndarray, _Eval]]:
@@ -168,7 +203,7 @@ class _Evaluator:
         self.evals += k
         net, inp = self.net, self.inp
         beta = np.array(xs, dtype=float).reshape(k, -1)
-        p, _, injected = injections(net, self.demand, self.wind, beta)
+        p, s_pu, injected = self.injected(beta)
         vc = (np.repeat(self._warm[None, :], k, axis=0) if start is None
               else np.array(start))
         pin = None
@@ -180,25 +215,27 @@ class _Evaluator:
             pin = (np.where(slide >= 0, net.station_index[slide], 0),
                    self.wind[slide] / net.base_mva, b,
                    SURFACE_TOL / net.base_mva)
-        ok, _, _, _ = zbus_iterate(net.Y, p / net.base_mva + 1j * self._q_pu,
-                                   vc, PF_TOL, PF_MAX_ITER, net.Z, pin=pin)
+        ok, iterations, residual, _ = zbus_iterate(
+            net.Y, s_pu, vc, PF_TOL, PF_MAX_ITER, net.Z, pin=pin)
         if pin is not None:
             dw = (b - beta[rows, slide]) * self.wind[slide]
             beta[rows, slide] = b
             p[rows, net.station_index[slide]] += dw
             injected += dw
         p_s, q_s, p_loss = slack_power(net, net.Y, p, vc)
-        _, margins = limit_margins(net, p_s, q_s, np.abs(vc),
-                                   branch_flows(net, vc))
+        flows = branch_flows(net, vc)
+        values, margins = limit_margins(net, p_s, q_s, np.abs(vc), flows)
         feas = ok & (margins >= -TOL_CONS).all(axis=1)
-        f = objective(inp.price_p, inp.price_q, injected, p_loss, p_s,
-                      q_s)[0]
-        score = np.where(feas, f, -math.inf)
+        terms = objective(inp.price_p, inp.price_q, injected, p_loss, p_s,
+                          q_s)
+        score = np.where(feas, terms[0], -math.inf)
         if ok.any():
             # the next batch starts from the best feasible point, or else
             # from the first converged one (argmax takes the first maximum)
             self._warm = vc[int(np.argmax(score if feas.any() else ok))]
-        return [(beta[i], _Eval(sc, ps, fe, True, vc[i])
+        batch = _Batch(vc, p_s, q_s, p_loss, flows, values, margins, terms,
+                       iterations, residual)
+        return [(beta[i], _Eval(sc, ps, fe, True, batch, i)
                  if conv else _FAILED_EVAL)
                 for i, (sc, ps, fe, conv) in enumerate(zip(
                     score.tolist(), p_s.tolist(), feas.tolist(),
@@ -207,22 +244,27 @@ class _Evaluator:
     def __call__(self, x: np.ndarray) -> _Eval:
         return self.eval_many([x])[0][1]
 
-    def full_solution(self, beta: np.ndarray, start, status: str,
-                      message: str = "") -> OPFSolution:
-        """Re-solve at beta through ``evaluate_point`` from the (v, theta)
-        warm ``start`` and attach the report. The re-solve is not counted
-        in ``evals``, which counts the search's evaluations."""
-        inp = self.inp
-        pf, (f, f1, f2, f3, f4) = evaluate_point(
-            self.net, inp.demand_p, inp.demand_q, self.wind, beta,
-            inp.price_p, inp.price_q, tol=PF_TOL, max_iter=PF_MAX_ITER,
-            start=start)
+    def solution(self, beta: np.ndarray, e: _Eval, status: str,
+                 message: str = "") -> OPFSolution:
+        """The solution at beta, as the evaluation ``e`` computed it in its
+        batch: nothing is solved again. Its arrays are read-only copies."""
+        b, i = e.batch, e.row
+        pf = PowerFlowSolution(
+            v=_frozen(np.abs(b.state[i])),
+            theta=_frozen(np.angle(b.state[i])),
+            p_s=float(b.p_s[i]), q_s=float(b.q_s[i]),
+            p_loss=float(b.p_loss[i]), flows=_frozen(b.flows[i]),
+            iterations=int(b.iterations[i]),
+            max_residual=float(b.residual[i]))
+        names, lower, upper = self.net.limit_bounds
+        report = ConstraintReport(names=names, values=_frozen(b.values[i]),
+                                  lower=lower, upper=upper,
+                                  margins=_frozen(b.margins[i]), tol=TOL_CONS)
+        f, f1, f2, f3, f4 = (float(t[i]) for t in b.terms)
         return OPFSolution(
-            beta=tuple(float(b) for b in beta),
-            p_s=pf.p_s, q_s=pf.q_s, p_loss=pf.p_loss,
-            f=f, f1=f1, f2=f2, f3=f3, f4=f4, status=status, power_flow=pf,
-            report=check_limits(self.net, pf, tol=TOL_CONS),
-            evals=self.evals, message=message)
+            beta=tuple(float(x) for x in beta), p_s=pf.p_s, q_s=pf.q_s,
+            p_loss=pf.p_loss, f=f, f1=f1, f2=f2, f3=f3, f4=f4, status=status,
+            power_flow=pf, report=report, evals=self.evals, message=message)
 
 
 def _wind(net: Network, inp: HorizonInput) -> np.ndarray:
@@ -391,12 +433,16 @@ def _reuse(ev: _Evaluator, incumbent) -> OPFSolution | None:
     (w_B <= w_A) and P_A lies in B's box (P_A <= w_B), P_A is optimal for
     B too. B's beta keeps beta_A where w_B = w_A, and where w_B = 0 (there
     P_A = 0, so beta_A = 0 unless w_A = 0 too); elsewhere it is
-    P_A / w_B. The point is re-solved from A's state, and a re-solve that
-    fails or breaks a limit rejects A too.
+    P_A / w_B. A's state must solve B's own injection: its largest P or Q
+    mismatch there is at most PF_TOL, the test with which a power flow
+    started from that state would stop at once. B then keeps A's state,
+    slack power, flows and constraint report (which must be ok), reports
+    0 iterations and that mismatch, and takes its losses and objective
+    terms from its own injection. Nothing is solved.
     """
     inp_a, sol_a = incumbent
     inp = ev.inp
-    if (sol_a.status != STATUS_OPTIMAL
+    if (sol_a.status != STATUS_OPTIMAL or not sol_a.report.ok
             or (inp.demand_p, inp.demand_q, inp.price_p, inp.price_q)
             != (inp_a.demand_p, inp_a.demand_q, inp_a.price_p,
                 inp_a.price_q)):
@@ -409,14 +455,23 @@ def _reuse(ev: _Evaluator, incumbent) -> OPFSolution | None:
     keep = (w_b == w_a) | (w_b == 0)
     beta = np.where(keep, beta_a, np.clip(
         p_a / np.where(keep, 1.0, w_b), 0.0, 1.0))
-    try:
-        sol = ev.full_solution(beta, (sol_a.power_flow.v,
-                                      sol_a.power_flow.theta),
-                               STATUS_OPTIMAL,
-                               "optimum reused from an earlier row")
-    except PowerFlowError:
+    pf = sol_a.power_flow
+    p, s_pu, injected = ev.injected(beta[None, :])
+    _, res = power_mismatch(ev.net.Y[1:], s_pu[:, 1:],
+                            start_state(ev.net, (pf.v, pf.theta)))
+    if not res[0] <= PF_TOL:
         return None
-    return sol if sol.report.ok else None
+    # the slack covers demand minus wind plus losses (``slack_power``)
+    p_loss = pf.p_s + float(p[0, 1:].sum())
+    f, f1, f2, f3, f4 = objective(inp.price_p, inp.price_q,
+                                  float(injected[0]), p_loss, pf.p_s, pf.q_s)
+    return OPFSolution(
+        beta=tuple(float(x) for x in beta), p_s=pf.p_s, q_s=pf.q_s,
+        p_loss=p_loss, f=f, f1=f1, f2=f2, f3=f3, f4=f4,
+        status=STATUS_OPTIMAL,
+        power_flow=replace(pf, iterations=0, max_residual=float(res[0])),
+        report=sol_a.report, evals=0,
+        message="optimum reused from an earlier row")
 
 
 def solve_opf(net: Network, inp: HorizonInput,
@@ -434,8 +489,9 @@ def solve_opf(net: Network, inp: HorizonInput,
 
     ``incumbent`` optionally gives an earlier row of the same horizon as
     (its input, its solution). When its optimum is provably this row's
-    (``_reuse``), one warm re-solve at this row's beta replaces the search:
-    the solution is 'optimal' with ``evals`` 0 and says so in ``message``.
+    (``_reuse``), one mismatch check of its state at this row's injection
+    replaces the search: the solution is 'optimal' with ``evals`` 0 and
+    says so in ``message``.
     Otherwise the incumbent is ignored and the search runs as without it.
     """
     opts = opts or OPFOptions()
@@ -453,7 +509,7 @@ def solve_opf(net: Network, inp: HorizonInput,
     if degenerate:
         e = ev(ones)
         if e.feasible:
-            return ev.full_solution(ones, e.start, STATUS_OPTIMAL)
+            return ev.solution(ones, e, STATUS_OPTIMAL)
         if not np.any(ev.wind > 0):
             return _failed(nst, STATUS_INFEASIBLE, ev.evals,
                            "infeasible at every beta (zero wind)")
@@ -489,10 +545,10 @@ def solve_opf(net: Network, inp: HorizonInput,
 
     best_x, best_e, converged = _polish(ev, best_x, best_e, opts.max_evals)
     if not converged:
-        return ev.full_solution(best_x, best_e.start, STATUS_FAILURE,
-                                f"evaluation budget exhausted before the "
-                                f"polish converged ({ev.evals} evals)")
-    return ev.full_solution(best_x, best_e.start, STATUS_OPTIMAL)
+        return ev.solution(best_x, best_e, STATUS_FAILURE,
+                           f"evaluation budget exhausted before the "
+                           f"polish converged ({ev.evals} evals)")
+    return ev.solution(best_x, best_e, STATUS_OPTIMAL)
 
 
 def oracle_opf(net: Network, inp: HorizonInput,
@@ -526,4 +582,4 @@ def oracle_opf(net: Network, inp: HorizonInput,
         half = (hi - lo) / 10.0
         lo = np.clip(best_x - half, 0.0, 1.0)
         hi = np.clip(best_x + half, 0.0, 1.0)
-    return ev.full_solution(best_x, best_e.start, STATUS_OPTIMAL)
+    return ev.solution(best_x, best_e, STATUS_OPTIMAL)

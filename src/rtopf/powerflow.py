@@ -3,10 +3,12 @@ operating-limit checks: the one evaluation kernel of the OPF and of the
 realized updates. The state is the complex bus voltage throughout; each
 kernel function takes K cases as (K, n) arrays. ``solve_power_flow`` is the
 K = 1 call, and ``evaluate_point`` runs injections, solve and objective at
-one operating point: a reported OPF row, ``evaluate_objective`` and each
-realized update. The OPF search also pins cases of the iteration: a
-pinned case lowers one station's wind until the slack's active power is
-zero, so a point lands on the reverse-flow boundary within its own solve.
+one operating point: ``evaluate_objective`` and each realized update. The
+OPF reports its rows from its own batches, and checks a reused row's state
+with ``power_mismatch``, the kernel's convergence test. The OPF search
+also pins cases of the iteration: a pinned case lowers one station's wind
+until the slack's active power is zero, so a point lands on the
+reverse-flow boundary within its own solve.
 
 The slack bus balances the network: its active/reactive injection and the
 total losses come out of the solve. All buses except the slack are PQ.
@@ -105,6 +107,29 @@ def _products(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(m, x[:, :, None])[:, :, 0]
 
 
+def power_mismatch(y_l: np.ndarray, s_l: np.ndarray,
+                   vc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The power mismatch ``dS = S_l - V_l·conj(Y_l·V)`` at the non-slack
+    buses of K cases: ``y_l`` is ``y[1:]``, ``s_l`` the (K, n - 1)
+    specified injections (pu) and ``vc`` the (K, n) complex voltages.
+    Returns dS and, per case, its largest P or Q entry in absolute value,
+    the quantity ``zbus_iterate`` compares with its tolerance."""
+    ds = s_l - vc[:, 1:] * np.conj(_products(y_l, vc))
+    return ds, np.abs(ds.view(float)).max(axis=1, initial=0.0)
+
+
+def start_state(net: Network, start=None) -> np.ndarray:
+    """A (1, n) complex state: the slack bus at its set voltage, and every
+    other bus at that voltage too (a flat start) or at the (v, theta) of
+    ``start``."""
+    vc = np.full((1, net.n_buses),
+                 net.slack_voltage * np.exp(1j * net.slack_angle))
+    if start is not None:
+        v, theta = (np.asarray(a, dtype=float)[1:] for a in start)
+        vc[0, 1:] = v * np.exp(1j * theta)
+    return vc
+
+
 def zbus_iterate(y: np.ndarray, s_pu: np.ndarray, vc: np.ndarray,
                  tol: float, max_iter: int, z: np.ndarray | None,
                  pin=None):
@@ -156,9 +181,7 @@ def zbus_iterate(y: np.ndarray, s_pu: np.ndarray, vc: np.ndarray,
         f = r * sa.shape[1] + bus[r] - 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(max_iter + 1):
-            ds = sa - va[:, 1:] * np.conj(_products(y_l, va))
-            # max over the P and the Q mismatches at once
-            res = np.abs(ds.view(float)).max(axis=1, initial=0.0)
+            ds, res = power_mismatch(y_l, sa, va)
             ok = done = res <= tol
             if pin is not None:
                 # the beta at which the slack power the mismatch predicts,
@@ -275,11 +298,7 @@ def solve_power_flow(net: Network, inj: InjectionSpec, *,
         y = net.Y
     p_mw = np.asarray(inj.p_mw, dtype=float)[None, :]
     q_mvar = np.asarray(inj.q_mvar, dtype=float)[None, :]
-    vc = np.full((1, net.n_buses),
-                 net.slack_voltage * np.exp(1j * net.slack_angle))
-    if start is not None:
-        v, theta = (np.asarray(a, dtype=float)[1:] for a in start)
-        vc[0, 1:] = v * np.exp(1j * theta)
+    vc = start_state(net, start)
     converged, iterations, residual, singular = zbus_iterate(
         y, p_mw / net.base_mva + 1j * (q_mvar / net.base_mva), vc,
         tol, max_iter, net.Z if y is net.Y else zbus(y))

@@ -10,8 +10,9 @@ The table is solved by blocks: the rows that share every station's level
 but the last station's, in index order (seven rows each for two stations).
 Within a block every earlier row's wind box contains every later row's, so
 a later row whose box still holds an earlier row's optimal injection takes
-that optimum with one re-solve instead of a search (``solve_opf``'s
-incumbent). On the reference table 7 of the 49 rows are searched.
+that optimum instead of a search (``solve_opf``'s incumbent): one mismatch
+check of the earlier row's state at the later row's injection, and no
+power flow. On the reference table 7 of the 49 rows are searched.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtopf import opf, scenarios
+from rtopf import opf, powerflow, scenarios
 from rtopf.opf import (FAST_OPTS, HorizonInput, OPFOptions, POLISH_STEP,
                        POLISH_STEP_MIN, STATUS_FAILURE, STATUS_INFEASIBLE,
                        STATUS_OPTIMAL, SURFACE_TOL, TOL_OBJ, _Evaluator,
@@ -301,17 +301,25 @@ def test_no_polish_move_improves_the_returned_point(net41, horizon1):
 def test_reference_table_takes_few_kernel_calls(net41, horizon1,
                                                 monkeypatch):
     # one search per block (7 of the 49 rows; the others reuse a containing
-    # row's optimum with an uncounted re-solve), each taking one batched
-    # call for the seed grid and one per poll round, keeps the table at 14
-    # search calls; searching every row made 101, a second call per round
-    # for the projection 404, and polling one step size per call about 1000
-    calls = []
+    # row's optimum after one mismatch check, which solves nothing), each
+    # taking one batched call for the seed grid and one per poll round,
+    # keeps the table at 14 search calls; searching every row made 101, a
+    # second call per round for the projection 404, and polling one step
+    # size per call about 1000. Every row is reported from the batch that
+    # evaluated it, so the build runs no single-point power flow.
+    calls, single = [], []
     kernel = opf.zbus_iterate
+    solve = powerflow.solve_power_flow
 
     def counted(*args, **kwargs):
         calls.append(len(args[2]))
         return kernel(*args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        single.append(args)
+        return solve(*args, **kwargs)
     monkeypatch.setattr(opf, "zbus_iterate", counted)
+    monkeypatch.setattr(powerflow, "solve_power_flow", recorded)
     buses = [s.bus for s in net41.stations]
     levels = make_levels([horizon1.wind_available[b] for b in buses], None,
                          [s.rated_power for s in net41.stations])
@@ -319,7 +327,8 @@ def test_reference_table_takes_few_kernel_calls(net41, horizon1,
                                levels)
     assert all(sol.status == STATUS_OPTIMAL for _, sol in table.rows)
     assert sum(calls) == sum(sol.evals for _, sol in table.rows)
-    assert 0 < len(calls) <= 20
+    assert len(calls) == 14
+    assert single == []
 
 
 def solution_key(sol):
@@ -345,13 +354,23 @@ def test_rejected_incumbent_changes_nothing(net41, horizon1):
     narrower = row.with_wind({2: 3.8, 16: 6.0})
     larger = row.with_wind({2: 5.3, 16: 8.55})  # optimum at 5.3 MW > 3.8
     unpriced = replace(wider, price_p=0.0, price_q=0.0)
+    other = solve_opf(net41, larger)
+    # the state of a row whose optimal injection is not the incumbent's
+    assert not np.allclose(np.multiply(other.beta, (5.3, 8.55)),
+                           np.multiply(ok[1].beta, (3.8, 8.55)), atol=1e-3)
+    exporting = evaluate_objective(net41, row, (1.0, 1.0))
+    assert not exporting.report.ok
     rejected = [
         (narrower, solve_opf(net41, narrower)),
-        (larger, solve_opf(net41, larger)),
+        (larger, other),
         (wider, replace(ok[1], status=STATUS_FAILURE)),
-        # claims optimal at beta = (1, 1), where the row exports: the
-        # re-solve breaks the reverse-flow limit
+        # claims optimal at beta = (1, 1), where the row exports: the state
+        # does not solve that injection
         (row, replace(plain, beta=(1.0, 1.0))),
+        # a qualifying optimum carrying another row's state, or a report
+        # that breaks a limit
+        (wider, replace(ok[1], power_flow=other.power_flow)),
+        (wider, replace(ok[1], report=exporting.report)),
         (replace(wider, demand_p={**wider.demand_p, 41: 0.5}), ok[1]),
         (replace(wider, demand_q={**wider.demand_q, 41: 0.5}), ok[1]),
         (replace(wider, price_p=2.0), ok[1]),
@@ -417,3 +436,62 @@ def test_reused_rows_hold_their_incumbents_optimum(net41, horizon1,
         own = real(net41, inp)
         assert sol.f >= own.f - 1e-5 * max(1.0, abs(own.f))
     assert reused >= 100
+
+
+def mismatch_pu(net, inp, beta, pf):
+    """Largest P or Q mismatch (pu) at the non-slack buses of the reported
+    state (v, theta) for the injection beta * w, from ``net.Y`` alone."""
+    s = np.zeros(net.n_buses, dtype=complex)
+    for bus, p in inp.demand_p.items():
+        s[net.index_of(bus)] -= p
+    for bus, q in inp.demand_q.items():
+        s[net.index_of(bus)] -= 1j * q
+    for station, b in zip(net.stations, beta):
+        s[net.index_of(station.bus)] += b * inp.wind_available[station.bus]
+    v = pf.v * np.exp(1j * pf.theta)
+    ds = (s / net.base_mva - v * np.conj(net.Y @ v))[1:]
+    return max(np.abs(ds.real).max(), np.abs(ds.imag).max())
+
+
+def test_reported_rows_agree_with_an_independent_evaluation(net41, horizon1):
+    # every optimal row of the reference table and of 8 random tables, the
+    # searched rows and the reused ones alike, against a fresh single-point
+    # power flow at its beta, and its state against its own injection
+    buses = [s.bus for s in net41.stations]
+    rated = [s.rated_power for s in net41.stations]
+    checked = 0
+    for inp in [horizon1, *random_horizons(horizon1, net41, 8)]:
+        levels = make_levels([inp.wind_available[b] for b in buses], None,
+                             rated)
+        table = build_lookup_table(net41, inp, enumerate_scenarios(levels),
+                                   levels)
+        for sc, sol in table.rows:
+            if sol.status != STATUS_OPTIMAL:
+                continue
+            checked += 1
+            row = inp.with_wind(dict(zip(buses, sc.wind)))
+            bd = evaluate_objective(net41, row, sol.beta)
+            assert sol.f == pytest.approx(bd.f, abs=1e-7)
+            pf = bd.power_flow
+            for got, want in ((sol.p_s, pf.p_s), (sol.q_s, pf.q_s),
+                              (sol.p_loss, pf.p_loss)):
+                assert got == pytest.approx(want, abs=1e-7)
+            assert (mismatch_pu(net41, row, sol.beta, sol.power_flow)
+                    <= 1.01 * opf.PF_TOL)
+    assert checked >= 400
+
+
+def test_reported_arrays_are_read_only_copies(net41, horizon1):
+    # a reused row shares its incumbent's state and report, so no reported
+    # array may be written, nor be a view into a batch
+    row = horizon1.with_wind({2: 3.8, 16: 7.05})
+    wider = row.with_wind({2: 3.8, 16: 8.55})
+    searched = solve_opf(net41, wider)
+    reused = solve_opf(net41, row, incumbent=(wider, searched))
+    assert reused.evals == 0 and "reused" in reused.message
+    for sol in (searched, reused, solve_opf(net41, row)):
+        pf, report = sol.power_flow, sol.report
+        for arr in (pf.v, pf.theta, pf.flows, report.values, report.margins):
+            assert arr.base is None
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
