@@ -26,8 +26,8 @@ from .profiles import (ProfileError, ProfileGenConfig, gen_day_profiles,
                        load_profiles, save_profiles)
 from .realtime import (DEFAULT_PRICE_P, DEFAULT_PRICE_Q, TimingConfig,
                        run_day, summary_to_text, trace_to_csv)
-from .scenarios import (build_lookup_table, enumerate_scenarios, make_levels,
-                        table_to_csv)
+from .scenarios import (DEFAULT_DEADLINE_S, build_lookup_table,
+                        enumerate_scenarios, make_levels, table_to_csv)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 3
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_case(p)
     p.add_argument("--input", help="horizon input JSON (default: bundled)")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--deadline", type=float, default=112.0,
+    p.add_argument("--deadline", type=float, default=DEFAULT_DEADLINE_S,
                    help="compute budget in seconds")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_build_table)
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizons", type=int, default=None,
                    help="limit the number of 120 s horizons")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--deadline", type=float, default=112.0)
+    p.add_argument("--deadline", type=float, default=DEFAULT_DEADLINE_S)
     p.add_argument("--enforce-deadline", action="store_true",
                    help="fall back to the previous table on budget overrun")
     p.add_argument("--price-p", type=float, default=DEFAULT_PRICE_P)

@@ -13,13 +13,14 @@ every coordinate and exchange move at every step from POLISH_STEP down to
 POLISH_STEP_MIN goes into one batched evaluation, and the search stops when
 no move at any step improves the objective. Whenever the wind exceeds
 demand plus losses the optimum lies on the reverse-flow boundary p_s = 0.
-The kernel lands points on it inside the power-flow iteration: each point
-names a station whose beta the iteration lowers until the slack's active
-power is zero (``zbus_iterate``'s pin). The fully-uncurtailed seed and
-every poll move slide that way in the call that evaluates them, so a move
-that overshoots the boundary becomes a slide along it. Only a point whose
-station runs out of room takes one more call, ``_to_surface``, through
-another station.
+One landing rule, ``_land``, evaluates every seed and poll point: the
+kernel lands it on the boundary inside the power-flow iteration, lowering
+the beta of the station with the most wind to give up (other than the one
+its move raised) until the slack's active power is zero (``zbus_iterate``'s
+pin). So an exporting seed corner lands on the boundary, and a move that
+overshoots it becomes a slide along it, in the call that evaluates them.
+Only a point whose station runs out of room takes one more call, from its
+own state, through the next station with room.
 
 The receding-horizon controller solves tens of thousands of these problems
 per simulated day, so the evaluator batches candidate points through the
@@ -316,80 +317,63 @@ def _slides(wind: np.ndarray, xs, exclude: np.ndarray) -> np.ndarray:
     return np.where(room[np.arange(k.size), k] > 0, k, -1)
 
 
-def _land(ev: _Evaluator, xs, exclude: np.ndarray, slide: np.ndarray,
-          start=None) -> list[tuple[np.ndarray, _Eval]]:
-    """Evaluate points in one call, each sliding down onto the reverse-flow
-    boundary p_s = 0 through its ``slide`` station, and return (beta,
-    evaluation) for every point that does not export. A point whose slide
-    station runs out of room while the grid still exports is passed to
-    ``_to_surface``, which goes on with another station."""
-    out, beyond = [], []
-    for (x, e), i, k in zip(ev.eval_many(xs, slide, start), exclude, slide):
-        if not e.p_s < -SURFACE_TOL:  # failed points too (p_s is NaN)
-            out.append((x, e))
-        elif k >= 0 and x[k] == 0:
-            beyond.append((x, e, i))
-    return out + _to_surface(ev, beyond)
+def _land(ev: _Evaluator, xs,
+          raised: np.ndarray) -> list[tuple[np.ndarray, _Eval]]:
+    """Evaluate search points, each landing on the reverse-flow boundary
+    p_s = 0 if it exports; the one way the search evaluates a point.
 
-
-def _to_surface(ev: _Evaluator, points) -> list[tuple[np.ndarray, _Eval]]:
-    """Project exporting points onto the reverse-flow boundary p_s = 0.
-
-    ``points`` holds (x, e, exclude) triples: a point, its evaluation, and a
-    station to leave out or None. Each converged point slides from its own
-    state through the station with the most wind to give up, all in one
-    pinned kernel call, and a station that runs out of room hands over to
-    the next. Returns (x, e) for every point that got there; a point whose
-    power flow fails or that no station has room for is dropped.
+    Each point slides down through the station ``_slides`` picks: the one
+    with the most wind to give up, other than the station its move raised
+    (``raised``, -1 for none). All points go through one pinned kernel
+    call. A point whose station runs out of room while the grid still
+    exports hands over: it slides on from its own state through the next
+    station with room, one call for all such points, until it lands; a
+    point with no station left is dropped. Returns (beta, evaluation) for
+    every point that does not export, in evaluation order.
     """
-    points = [(x, e, -1 if i is None else i) for x, e, i in points
-              if e.converged]
-    if not points:
-        return []
-    exclude = np.array([i for _, _, i in points], dtype=int)
-    slide = _slides(ev.wind, [x for x, _, _ in points], exclude)
-    keep = np.flatnonzero(slide >= 0)
-    if not keep.size:
-        return []
-    return _land(ev, [points[j][0] for j in keep], exclude[keep],
-                 slide[keep], [points[j][1].state for j in keep])
-
-
-def _moves(n: int, wind: np.ndarray):
-    """Polish directions: coordinate steps plus wind-weighted exchange pairs.
-
-    An exchange raises one station and lowers another in proportion to their
-    available wind, which holds the total injection (and hence the slack
-    balance) roughly constant -- the direction needed to slide along the
-    active-power boundary of the feasible set.
-    """
-    out = [(i, 1.0, None, 0.0) for i in range(n)]
-    out += [(i, -1.0, None, 0.0) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and wind[i] > 0 and wind[j] > 0:
-                out.append((i, 1.0, j, -wind[i] / wind[j]))
+    out, start = [], None
+    slide = _slides(ev.wind, xs, raised)
+    while len(xs):
+        beyond = []
+        for (x, e), i, k in zip(ev.eval_many(xs, slide, start), raised,
+                                slide):
+            if not e.p_s < -SURFACE_TOL:  # failed points too (p_s is NaN)
+                out.append((x, e))
+            elif k >= 0 and x[k] == 0:
+                beyond.append((x, e, i))
+        raised = np.array([i for _, _, i in beyond], dtype=int)
+        slide = _slides(ev.wind, [x for x, _, _ in beyond], raised)
+        keep = np.flatnonzero(slide >= 0)
+        xs = [beyond[j][0] for j in keep]
+        start = [beyond[j][1].state for j in keep]
+        raised, slide = raised[keep], slide[keep]
     return out
 
 
-def _poll(x: np.ndarray, moves) -> tuple[np.ndarray, np.ndarray]:
-    """Every move of ``_moves`` from x at every step POLISH_STEP,
-    POLISH_STEP/2, ... >= POLISH_STEP_MIN, largest step first, clipped to
-    the box; duplicates and x itself are left out. Returns the points and,
-    per point, the station its move raised (-1 for a lowering move)."""
+def _poll(x: np.ndarray, wind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The complete poll from x: each station raised, each lowered, and each
+    wind-weighted exchange, at every step POLISH_STEP, POLISH_STEP/2, ...
+    >= POLISH_STEP_MIN, largest step first, clipped to the box; duplicates
+    and x itself are left out. Returns the points and, per point, the
+    station its move raised (-1 for a lowering move).
+
+    An exchange raises station i by the step and lowers station j by the
+    step times w_i / w_j (both with wind), which holds the total injection,
+    and hence the slack balance, roughly constant: the direction along the
+    active-power boundary of the feasible set.
+    """
+    n = x.size
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if i != j and wind[i] > 0 and wind[j] > 0]
+    d = np.vstack([np.eye(n), -np.eye(n), np.zeros((len(pairs), n))])
+    for m, (i, j) in enumerate(pairs, 2 * n):
+        d[m, i], d[m, j] = 1.0, -wind[i] / wind[j]
+    raised = np.array([*range(n), *[-1] * n, *(i for i, _ in pairs)])
     steps = [POLISH_STEP]
     while steps[-1] / 2.0 >= POLISH_STEP_MIN:
         steps.append(steps[-1] / 2.0)
-    d = np.zeros((len(moves), x.size))
-    raised = np.full(len(moves), -1)
-    for m, (i, di, j, dj) in enumerate(moves):
-        d[m, i] = di
-        if j is not None:
-            d[m, j] = dj
-        if di > 0:
-            raised[m] = i
     cands = np.minimum(np.maximum(
-        x + np.multiply.outer(steps, d), 0.0), 1.0).reshape(-1, x.size)
+        x + np.multiply.outer(steps, d), 0.0), 1.0).reshape(-1, n)
     seen, keep = {tuple(x.tolist())}, []
     for c, key in enumerate(map(tuple, cands.tolist())):
         if key not in seen:
@@ -401,20 +385,18 @@ def _poll(x: np.ndarray, moves) -> tuple[np.ndarray, np.ndarray]:
 def _polish(ev: _Evaluator, x: np.ndarray, e: _Eval, max_evals: int):
     """Pattern search with a complete poll, one batch per round.
 
-    Each round evaluates every move of ``_poll`` (all steps at once) in one
-    kernel call. Each move slides through the station with the most wind
-    to give up among those it did not raise, so a move that would cross
-    the reverse-flow boundary lands on it in the same call: raising one
-    station slides along the binding surface instead of stalling against
-    the infeasibility wall. The search moves to the best improver and stops
-    when no move at any step improves the score by more than TOL_OBJ.
+    Each round lands every point of ``_poll`` (all steps at once) through
+    ``_land``, one kernel call unless a point hands over. A move that would
+    cross the reverse-flow boundary lands on it through a station it did
+    not raise: raising one station slides along the binding surface instead
+    of stalling against the infeasibility wall. The search moves to the
+    best improver and stops when no move at any step improves the score by
+    more than TOL_OBJ.
     Returns the best point, its evaluation, and whether a poll found no
     improvement before the budget ran out.
     """
-    moves = _moves(x.size, ev.wind)
     while ev.evals < max_evals:
-        cands, raised = _poll(x, moves)
-        results = _land(ev, cands, raised, _slides(ev.wind, cands, raised))
+        results = _land(ev, *_poll(x, ev.wind))
         xb, eb = max(results, key=lambda r: r[1].score,
                      default=(x, e))  # the first maximum
         if not eb.score > e.score + TOL_OBJ:
@@ -514,14 +496,12 @@ def solve_opf(net: Network, inp: HorizonInput,
             return _failed(nst, STATUS_INFEASIBLE, ev.evals,
                            "infeasible at every beta (zero wind)")
 
-    # coarse seeding grid in one call; the fully-uncurtailed point, where
-    # the grid ends, slides onto the reverse-flow boundary if it exports
-    # (the usual optimum basin)
+    # coarse seeding grid, landed as poll points are: a corner that exports
+    # slides onto the reverse-flow boundary (the fully-uncurtailed corner
+    # through the windiest station: the usual optimum basin)
     axis = np.linspace(0.0, 1.0, COARSE_GRID)
     grid = [np.array(c) for c in itertools.product(axis, repeat=nst)]
-    slide = np.full(len(grid), -1)
-    slide[-1] = np.argmax(ev.wind)
-    best_x, best_e = max(_land(ev, grid, np.full(len(grid), -1), slide),
+    best_x, best_e = max(_land(ev, grid, np.full(len(grid), -1)),
                          key=lambda s: s[1].score,
                          default=(ones, _FAILED_EVAL))
 

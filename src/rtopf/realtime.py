@@ -24,9 +24,9 @@ from .powerflow import (PowerFlowError, PowerFlowSolution, check_limits,
                         evaluate_point)
 from .profiles import (DayProfiles, SLOTS_PER_DAY, UPDATES_PER_SLOT,
                        validate_profiles)
-from .scenarios import (LevelWidths, LookupTable, WindLevels,
-                        build_lookup_table, enumerate_scenarios, make_levels,
-                        scenario_index)
+from .scenarios import (DEFAULT_DEADLINE_S, LevelWidths, LookupTable,
+                        WindLevels, build_lookup_table, enumerate_scenarios,
+                        make_levels, scenario_index)
 
 log = logging.getLogger(__name__)
 
@@ -36,9 +36,9 @@ DEFAULT_PRICE_Q = 0.4   # $/Mvar per horizon
 
 @dataclass(frozen=True)
 class TimingConfig:
-    horizon: float = 120.0         # s
-    update: float = 20.0           # s
-    compute_budget: float = 112.0  # s reserved for the table build
+    horizon: float = 120.0  # s
+    update: float = 20.0    # s
+    compute_budget: float = DEFAULT_DEADLINE_S  # s reserved for the build
 
     def __post_init__(self):
         if self.horizon <= 0 or self.update <= 0:

@@ -180,7 +180,8 @@ def build_lookup_table(net: Network, inp: HorizonInput,
     Rows are solved block by block (see the module docstring), one
     ``solve_opf`` call per row; a block is the worker pool's unit and its
     solves are deterministic, so the table is identical for any worker
-    count. The pool's module is imported only when ``workers`` > 1.
+    count. The pool starts at most one worker per block, and its module is
+    imported only when more than one is started.
     Invalid horizon input, or a ``deadline`` that is not a positive finite
     number of seconds, raises ValueError before any row is solved.
     """
@@ -196,7 +197,9 @@ def build_lookup_table(net: Network, inp: HorizonInput,
     for sc in ordered:
         blocks.setdefault(sc.level_choice[:-1], []).append(sc)
     tasks = [(net, inp, block, opts) for block in blocks.values()]
-    if workers == 1:
+    # a pool forks all its workers at once, so never more than the blocks
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         results = [_solve_block(t) for t in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor

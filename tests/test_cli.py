@@ -21,6 +21,14 @@ def test_solve_opf_writes_report_file(tmp_path):
     assert "status: optimal" in out.read_text()
 
 
+def test_solve_opf_oracle_flags(capsys):
+    assert main(["solve-opf", "--oracle", "--grid-points", "11"]) == 0
+    assert "status: optimal" in capsys.readouterr().out
+    # the oracle grid needs both ends of each station's box
+    assert main(["solve-opf", "--oracle", "--grid-points", "1"]) == 3
+    assert "grid_points must be >= 2" in capsys.readouterr().err
+
+
 def test_build_table_csv(tmp_path):
     out = tmp_path / "table.csv"
     assert main(["build-table", "--out", str(out)]) == 0

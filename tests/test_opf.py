@@ -10,8 +10,8 @@ from rtopf import opf, powerflow, scenarios
 from rtopf.opf import (FAST_OPTS, HorizonInput, OPFOptions, POLISH_STEP,
                        POLISH_STEP_MIN, STATUS_FAILURE, STATUS_INFEASIBLE,
                        STATUS_OPTIMAL, SURFACE_TOL, TOL_OBJ, _Evaluator,
-                       _moves, _poll, _to_surface, evaluate_objective,
-                       oracle_opf, solve_opf)
+                       _land, _poll, evaluate_objective, oracle_opf,
+                       solve_opf)
 from rtopf.profiles import ProfileGenConfig, gen_day_profiles
 from rtopf.scenarios import (build_lookup_table, enumerate_scenarios,
                              make_levels)
@@ -248,6 +248,42 @@ def test_polish_slides_along_the_reverse_flow_boundary(net41):
     assert sol.report.ok
 
 
+def test_land_hands_over_and_lands_every_seed_corner(net41, horizon1,
+                                                     monkeypatch):
+    # at 0.3 x demand either station alone exports: (1, 1) slides through
+    # the windier bus-2 station, which runs out of room while the grid
+    # still exports, and hands over to bus 16 from its own state
+    inp = replace(horizon1,
+                  demand_p={b: 0.3 * v for b, v in horizon1.demand_p.items()},
+                  demand_q={b: 0.3 * v for b, v in horizon1.demand_q.items()},
+                  wind_available={2: 10.0, 16: 9.0})
+    calls = []
+    kernel = opf.zbus_iterate
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return kernel(*args, **kwargs)
+    monkeypatch.setattr(opf, "zbus_iterate", counted)
+    (x, e), = _land(_Evaluator(net41, inp), [np.ones(2)], np.array([-1]))
+    assert calls == [1, 1]
+    assert x[0] == 0.0 and x[1] == pytest.approx(0.222, abs=1e-3)
+    assert abs(e.p_s) <= SURFACE_TOL and e.feasible
+    # an exporting one-station corner lands too, in one call, instead of
+    # being dropped from the seed grid
+    calls.clear()
+    (x, e), = _land(_Evaluator(net41, inp), [np.array([0.0, 1.0])],
+                    np.array([-1]))
+    assert calls == [1]
+    assert x[0] == 0.0 and 0.0 < x[1] < 1.0
+    assert abs(e.p_s) <= SURFACE_TOL and e.feasible
+    # so all four corners of the seed grid come back, in two calls
+    calls.clear()
+    grid = [np.array(c, dtype=float) for c in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    landed = _land(_Evaluator(net41, inp), grid, np.full(4, -1))
+    assert calls == [4, 1]
+    assert len(landed) == 4 and all(e.feasible for _, e in landed)
+
+
 def random_horizons(base, net, count):
     """Seeded case41 horizons: demand 0.3-1.6x ``base``, wind U(0, 10) MW
     per station, c_p U(0.1, 3) and c_q U(0.05, 1)."""
@@ -266,35 +302,40 @@ def random_horizons(base, net, count):
 
 def test_no_polish_move_improves_the_returned_point(net41, horizon1):
     # the stopping certificate of the complete poll, checked move by move
-    # at each of the five steps 0.25 .. 0.25/16
+    # at each of the five steps 0.25 .. 0.25/16: each station raised, each
+    # lowered, and each exchange raising station i by the step while
+    # lowering station j by the step times w_i / w_j
     steps = [POLISH_STEP / 2.0 ** k for k in range(5)]
     assert steps[-1] >= POLISH_STEP_MIN > steps[-1] / 2.0
     for inp in [horizon1, *random_horizons(horizon1, net41, 6)]:
         sol = solve_opf(net41, inp)
         assert sol.status == STATUS_OPTIMAL
         ev = _Evaluator(net41, inp)
-        x = np.array(sol.beta)
+        x, w = np.array(sol.beta), ev.wind
         score = ev(x).score
+        n = x.size
+        moves = ([(i, 1.0, None) for i in range(n)]
+                 + [(i, -1.0, None) for i in range(n)]
+                 + [(i, 1.0, j) for i in range(n) for j in range(n)
+                    if i != j and w[i] > 0 and w[j] > 0])
         polled, seen = [], {tuple(x)}
         for step in steps:
-            for i, di, j, dj in _moves(x.size, ev.wind):
+            for i, di, j in moves:
                 xn = x.copy()
                 xn[i] = min(1.0, max(0.0, x[i] + di * step))
                 if j is not None:
-                    xn[j] = min(1.0, max(0.0, x[j] + dj * step))
+                    xn[j] = min(1.0, max(0.0, x[j] - w[i] / w[j] * step))
+                raised = i if di > 0 else -1
                 if tuple(xn) not in seen:
                     seen.add(tuple(xn))
-                    polled.append((tuple(xn), i if di > 0 else -1))
-                e = ev(xn)
-                if e.p_s < -SURFACE_TOL:  # projected as the poll does
-                    landed = _to_surface(
-                        ev, [(xn, e, i if di > 0 else None)])
-                    if not landed:
-                        continue
-                    e = landed[0][1]
-                assert e.score <= score + TOL_OBJ, (inp, step, i, j)
+                    polled.append((tuple(xn), raised))
+                landed = _land(ev, [xn], np.array([raised]))  # as polled
+                if not landed:  # exports with no station left to slide
+                    continue
+                assert landed[0][1].score <= score + TOL_OBJ, (inp, step,
+                                                                i, j)
         # the poll evaluates these points, in this order, in one call
-        cands, raised = _poll(x, _moves(x.size, ev.wind))
+        cands, raised = _poll(x, ev.wind)
         assert [(tuple(c), r) for c, r in zip(cands, raised)] == polled
 
 

@@ -154,6 +154,46 @@ def test_workers_do_not_change_the_table():
         build_lookup_table(net, inp, scens, levels, workers=0)
 
 
+def test_worker_pool_is_capped_at_the_block_count(net41, horizon1,
+                                                  monkeypatch):
+    # a pool forks all of its workers at the first submit, so asking for
+    # 100,000 must start at most one per block; the fake maps in-process
+    # and no real pool is started
+    import concurrent.futures
+
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            pools.append((self.max_workers, chunksize))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    buses = [s.bus for s in net41.stations]
+    levels = make_levels([horizon1.wind_available[b] for b in buses], None,
+                         [s.rated_power for s in net41.stations])
+    scens = enumerate_scenarios(levels)
+    serial = build_lookup_table(net41, horizon1, scens, levels, workers=1)
+    assert not pools
+    capped = build_lookup_table(net41, horizon1, scens, levels,
+                                workers=100_000)
+    assert pools == [(7, 1)]  # 7 blocks of 7 rows; chunk 7 // (4 * 7) -> 1
+    assert table_to_csv(capped, buses) == table_to_csv(serial, buses)
+    # a single block (one station) is solved in-process
+    net, inp, scens, levels = small_setup()
+    build_lookup_table(net, inp, scens, levels, workers=100_000)
+    assert pools == [(7, 1)]
+
+
 def test_failed_rows_do_not_sink_the_table():
     net = chain_net(3, station_buses=(3,), v_min=1.02, v_max=1.05)
     inp = HorizonInput(demand_p={2: 5.0}, demand_q={2: 1.5},
