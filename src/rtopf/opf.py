@@ -216,7 +216,7 @@ class _Evaluator:
             pin = (np.where(slide >= 0, net.station_index[slide], 0),
                    self.wind[slide] / net.base_mva, b,
                    SURFACE_TOL / net.base_mva)
-        ok, iterations, residual, _ = zbus_iterate(
+        ok, iterations, residual = zbus_iterate(
             net.Y, s_pu, vc, PF_TOL, PF_MAX_ITER, net.Z, pin=pin)
         if pin is not None:
             dw = (b - beta[rows, slide]) * self.wind[slide]

@@ -1,8 +1,11 @@
-"""Batched AC power flow (implicit Z-bus iteration), the objective and the
-operating-limit checks: the one evaluation kernel of the OPF and of the
-realized updates. The state is the complex bus voltage throughout; each
-kernel function takes K cases as (K, n) arrays. ``solve_power_flow`` is the
-K = 1 call, and ``evaluate_point`` runs injections, solve and objective at
+"""AC power flow (implicit Z-bus iteration), the objective and the
+operating-limit checks: the evaluation code of the OPF and of the realized
+updates. The state is the complex bus voltage throughout. The OPF runs the
+iteration in the batched kernel ``zbus_iterate``, on K cases as (K, n)
+arrays; ``solve_power_flow`` runs it for one case in its own loop on 1-D
+arrays, where the batch bookkeeping would cost more than the products, and
+matches the kernel bitwise. Slack power, branch flows and limit margins take
+either shape. ``evaluate_point`` runs injections, solve and objective at
 one operating point: ``evaluate_objective`` and each realized update. The
 OPF reports its rows from its own batches, and checks a reused row's state
 with ``power_mismatch``, the kernel's convergence test. The OPF search
@@ -16,6 +19,7 @@ total losses come out of the solve. All buses except the slack are PQ.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -95,16 +99,20 @@ def injections(net: Network, demand: InjectionSpec, wind,
 
 def _per_bus(net: Network, by_bus: Mapping[int, float]) -> np.ndarray:
     """Values given per bus id, summed into a vector in bus order."""
+    index = net._bus_index
     out = [0.0] * net.n_buses
     for bus, val in by_bus.items():
-        out[net.index_of(int(bus))] += val
+        i = index.get(int(bus))
+        # ``index_of`` raises the error for an unknown bus
+        out[net.index_of(int(bus)) if i is None else i] += val
     return np.array(out)
 
 
 def _products(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     # one matrix-vector product per case, so that a case rounds the same
-    # whatever the batch size (a matrix-matrix product does not)
-    return np.matmul(m, x[:, :, None])[:, :, 0]
+    # whatever the batch size (a matrix-matrix product does not); x is
+    # (K, n) or one case (n,), which rounds as ``m @ x`` does
+    return np.matmul(m, x[..., None])[..., 0]
 
 
 def power_mismatch(y_l: np.ndarray, s_l: np.ndarray,
@@ -152,15 +160,14 @@ def zbus_iterate(y: np.ndarray, s_pu: np.ndarray, vc: np.ndarray,
     |p0| <= p_tol or its beta cannot move: it imports at its start beta,
     or it exports at beta = 0.
 
-    Updates vc in place. Returns four (K,) arrays: converged (max P/Q
-    mismatch <= tol), the iteration count, the final max mismatch (pu), and
-    whether the case stopped on a singular ``y[1:, 1:]``. A case also stops
-    unconverged on a non-finite mismatch.
+    Updates vc in place. Returns three (K,) arrays: converged (max P/Q
+    mismatch <= tol), the iteration count and the final max mismatch (pu).
+    A case stops unconverged on a non-finite mismatch, and at iteration 0
+    when ``z`` is None.
     """
     k = vc.shape[0]
     y_l = y[1:]
     converged = np.zeros(k, dtype=bool)
-    singular = np.zeros(k, dtype=bool)
     iterations = np.zeros(k, dtype=int)
     residual = np.zeros(k)
     # the cases still iterating: their indices, states and injections; the
@@ -200,10 +207,7 @@ def zbus_iterate(y: np.ndarray, s_pu: np.ndarray, vc: np.ndarray,
                     vc[idx] = va
                 if pin is not None:
                     beta[idx[r]] = pb[r]
-                if it == max_iter or not go.any():
-                    break
-                if z is None:
-                    singular[idx[go]] = True
+                if it == max_iter or z is None or not go.any():
                     break
                 idx, va, sa, ds = idx[go], va[go], sa[go], ds[go]
                 if pin is not None:
@@ -217,36 +221,38 @@ def zbus_iterate(y: np.ndarray, s_pu: np.ndarray, vc: np.ndarray,
                 pb = bn
             vl = va[:, 1:]
             va[:, 1:] = vl + _products(z, np.conj(ds / vl))
-    return converged, iterations, residual, singular
+    return converged, iterations, residual
 
 
 def _slack_active(y: np.ndarray, vc: np.ndarray):
-    """Slack active power (pu) at K complex states, from row 0 of ``Y·V``,
-    with the slack voltage and current: S = V conj(I) in real arithmetic,
-    each product rounded on its own (numpy's vectorized complex product may
-    fuse multiply-adds)."""
-    v0, i0 = vc[:, 0], _products(y[:1], vc)[:, 0]
+    """Slack active power (pu) at K complex states (K, n), or at one (n,),
+    from row 0 of ``Y·V``, with the slack voltage and current: S = V conj(I)
+    in real arithmetic, each product rounded on its own (numpy's vectorized
+    complex product may fuse multiply-adds). Row 0 of ``y @ v`` would
+    round differently."""
+    v0, i0 = vc[..., 0], _products(y[:1], vc)[..., 0]
     return v0.real * i0.real + v0.imag * i0.imag, v0, i0
 
 
 def slack_power(net: Network, y: np.ndarray, p_mw: np.ndarray,
                 vc: np.ndarray):
     """Slack active and reactive power and the losses (MW, Mvar, MW), each
-    (K,), at K solved complex states ``vc`` with specified injections
-    ``p_mw``. The losses follow from the balance: the slack covers demand
-    minus wind plus losses.
+    (K,), at K solved complex states ``vc`` (K, n) with specified injections
+    ``p_mw`` (K, n); each a scalar for one state (n,). The losses follow
+    from the balance: the slack covers demand minus wind plus losses.
     """
     p, v0, i0 = _slack_active(y, vc)
     p_s = p * net.base_mva
     q_s = (v0.imag * i0.real - v0.real * i0.imag) * net.base_mva
-    return p_s, q_s, p_s + p_mw[:, 1:].sum(axis=1)
+    return p_s, q_s, p_s + p_mw[..., 1:].sum(axis=-1)
 
 
 def branch_flows(net: Network, vc: np.ndarray) -> np.ndarray:
     """Apparent power per branch in MVA, the larger of the two ends, for
-    (K, n) complex states; returns (K, branches)."""
+    (K, n) complex states or one (n,); returns (K, branches) or
+    (branches,)."""
     fidx, tidx, ys, bsh = net.branch_arrays
-    vf, vt = vc[:, fidx], vc[:, tidx]
+    vf, vt = vc[..., fidx], vc[..., tidx]
     i_f = (vf - vt) * ys + vf * bsh
     i_t = (vt - vf) * ys + vt * bsh
     s_f = np.abs(vf * np.conj(i_f))
@@ -269,11 +275,12 @@ def objective(price_p, price_q, injected, p_loss, p_s, q_s):
 def limit_margins(net: Network, p_s, q_s, v: np.ndarray,
                   flows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Value of every operating constraint and its margin to the nearer
-    bound, each (K, constraints), in ``net.limit_bounds`` order. A
+    bound, each (K, constraints) for (K,) slack powers and (K, n) voltages,
+    or (constraints,) for one state, in ``net.limit_bounds`` order. A
     negative margin is a violation."""
     _, lower, upper = net.limit_bounds
-    values = np.concatenate([np.hypot(p_s, q_s)[:, None], p_s[:, None],
-                             q_s[:, None], v[:, 1:], flows], axis=1)
+    values = np.concatenate([np.array([np.hypot(p_s, q_s), p_s, q_s]).T,
+                             v[..., 1:], flows], axis=-1)
     return values, np.minimum(values - lower, upper - values)
 
 
@@ -283,6 +290,11 @@ def solve_power_flow(net: Network, inj: InjectionSpec, *,
                      start=None,
                      y: np.ndarray | None = None) -> PowerFlowSolution:
     """Solve the AC power-flow equations for the given injections.
+
+    Runs ``zbus_iterate``'s iteration and stopping rules for one case, on
+    1-D arrays: a batch's bookkeeping costs more than the two
+    matrix-vector products of an iteration. The products round as the
+    kernel's do for one case, so a solve matches the kernel's bitwise.
 
     ``start`` is None for a flat start or a ``(v, theta)`` pair for a warm
     start; the reported ``v`` and ``theta`` are the magnitude and angle of
@@ -296,22 +308,28 @@ def solve_power_flow(net: Network, inj: InjectionSpec, *,
         raise ValueError("max_iter must be >= 1")
     if y is None:
         y = net.Y
-    p_mw = np.asarray(inj.p_mw, dtype=float)[None, :]
-    q_mvar = np.asarray(inj.q_mvar, dtype=float)[None, :]
-    vc = start_state(net, start)
-    converged, iterations, residual, singular = zbus_iterate(
-        y, p_mw / net.base_mva + 1j * (q_mvar / net.base_mva), vc,
-        tol, max_iter, net.Z if y is net.Y else zbus(y))
-    if singular[0]:
-        raise SingularJacobian(int(iterations[0]))
-    if not converged[0]:
-        raise NonConvergence(int(iterations[0]), float(residual[0]))
+    z = net.Z if y is net.Y else zbus(y)
+    p_mw = np.asarray(inj.p_mw, dtype=float)
+    q_mvar = np.asarray(inj.q_mvar, dtype=float)
+    s_l = (p_mw / net.base_mva + 1j * (q_mvar / net.base_mva))[1:]
+    vc = start_state(net, start)[0]
+    y_l, vl = y[1:], vc[1:]  # vl is a view: updating it updates vc
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(max_iter + 1):
+            ds = s_l - vl * np.conj(y_l @ vc)
+            res = float(np.abs(ds.view(float)).max(initial=0.0))
+            if res <= tol:
+                break
+            if it == max_iter or not math.isfinite(res):
+                raise NonConvergence(it, res)
+            if z is None:
+                raise SingularJacobian(it)
+            vl += z @ np.conj(ds / vl)
     p_s, q_s, p_loss = slack_power(net, y, p_mw, vc)
     return PowerFlowSolution(
-        v=np.abs(vc[0]), theta=np.angle(vc[0]), p_s=float(p_s[0]),
-        q_s=float(q_s[0]), p_loss=float(p_loss[0]),
-        flows=branch_flows(net, vc)[0], iterations=int(iterations[0]),
-        max_residual=float(residual[0]))
+        v=np.abs(vc), theta=np.angle(vc), p_s=float(p_s), q_s=float(q_s),
+        p_loss=float(p_loss), flows=branch_flows(net, vc), iterations=it,
+        max_residual=res)
 
 
 def evaluate_point(net: Network, demand_p: Mapping[int, float],
@@ -383,8 +401,6 @@ def check_limits(net: Network, sol: PowerFlowSolution,
     when it exceeds its bound by more than ``tol``.
     """
     names, lower, upper = net.limit_bounds
-    values, margins = limit_margins(net, np.array([sol.p_s]),
-                                    np.array([sol.q_s]), sol.v[None, :],
-                                    sol.flows[None, :])
-    return ConstraintReport(names=names, values=values[0], lower=lower,
-                            upper=upper, margins=margins[0], tol=tol)
+    values, margins = limit_margins(net, sol.p_s, sol.q_s, sol.v, sol.flows)
+    return ConstraintReport(names=names, values=values, lower=lower,
+                            upper=upper, margins=margins, tol=tol)

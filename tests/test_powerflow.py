@@ -1,4 +1,5 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from rtopf.network import build_admittance
 from rtopf.opf import SURFACE_TOL
 from rtopf.powerflow import (DEFAULT_MAX_ITER, DEFAULT_TOL, InjectionSpec,
-                             NonConvergence, PowerFlowError, check_limits,
-                             slack_power, solve_power_flow, zbus_iterate)
+                             NonConvergence, PowerFlowError, branch_flows,
+                             check_limits, slack_power, solve_power_flow,
+                             start_state, zbus_iterate)
 from rtopf.powerflow import SingularJacobian
 from rtopf.powerflow import injections as inject
 
@@ -139,13 +141,21 @@ def test_nonconvergence_beyond_loadability():
     net = chain_net(2, r=0.05, x=0.1)
     with pytest.raises(NonConvergence):
         solve_power_flow(net, injections(net, {2: -1000.0}))
+    # a non-finite load stops the iteration at once, without a numpy
+    # warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence) as exc:
+            solve_power_flow(net, injections(net, {2: float("nan")}))
+    assert exc.value.iterations == 0
 
 
 def test_singular_admittance_raises():
     # the charging cancels the series admittance: Y[1:, 1:] is zero
     net = chain_net(2, r=0.0, x=0.5, bsh=4.0)
-    with pytest.raises(SingularJacobian):
+    with pytest.raises(SingularJacobian) as exc:
         solve_power_flow(net, injections(net, {2: -1.0}))
+    assert exc.value.iteration == 0
 
 
 def test_case41_converges_fast_across_load_and_wind(net41, horizon1):
@@ -264,7 +274,7 @@ def test_batch_matches_separate_solves_bitwise(net41):
     p = np.array([s.p_mw for s in specs])
     q = np.array([s.q_mvar for s in specs])
     vc = np.ones((len(specs), net41.n_buses), dtype=complex)  # flat start
-    converged, iterations, _, _ = zbus_iterate(
+    converged, iterations, _ = zbus_iterate(
         net41.Y, p / net41.base_mva + 1j * (q / net41.base_mva), vc,
         DEFAULT_TOL, DEFAULT_MAX_ITER, net41.Z)
     p_s, q_s, _ = slack_power(net41, net41.Y, p, vc)
@@ -301,9 +311,9 @@ def test_batch_matches_separate_solves_bitwise(net41):
                            pin=(bus[rows], wind[rows] / base, beta,
                                 SURFACE_TOL / base))
         return out, vc, beta
-    (converged, iterations, residual, _), vc, beta = pinned(np.arange(n))
+    (converged, iterations, residual), vc, beta = pinned(np.arange(n))
     for k in range(n):
-        (c1, i1, r1, _), v1, b1 = pinned([k])
+        (c1, i1, r1), v1, b1 = pinned([k])
         assert (converged[k], iterations[k]) == (c1[0], i1[0])
         assert np.array_equal(residual[k], r1[0], equal_nan=True)
         assert np.array_equal(vc[k], v1[0], equal_nan=True)
@@ -318,6 +328,49 @@ def test_batch_matches_separate_solves_bitwise(net41):
     assert slid.sum() >= 2
     p_s, _, _ = slack_power(net41, net41.Y, p_w, vc)
     assert np.abs(p_s[slid]).max() <= SURFACE_TOL
+
+    # warm starts: a chain of updates, each solved from the state of the
+    # one before, must match the kernel run from the same start state, alone
+    # and in one batch, in every reported field
+    buses = rng.choice(np.arange(2, 42), size=8, replace=False)
+    load = rng.uniform(0.2, 1.5, size=8)
+    chain, sols, start = [], [], None
+    for _ in range(20):
+        load = load * rng.uniform(0.9, 1.1, size=8)
+        chain.append(injections(
+            net41, {int(b): -float(v) for b, v in zip(buses, load)}))
+        sols.append(solve_power_flow(net41, chain[-1], start=start))
+        start = (sols[-1].v, sols[-1].theta)
+    p_c = np.array([s.p_mw for s in chain])
+    s_c = p_c / base + 1j * (np.array([s.q_mvar for s in chain]) / base)
+    starts = np.concatenate([start_state(net41)] + [
+        start_state(net41, (sol.v, sol.theta)) for sol in sols[:-1]])
+
+    def kernel(rows, max_iter=DEFAULT_MAX_ITER):
+        vc = starts[rows]
+        out = zbus_iterate(net41.Y, s_c[rows], vc, DEFAULT_TOL, max_iter,
+                           net41.Z)
+        return (out, vc, slack_power(net41, net41.Y, p_c[rows], vc),
+                branch_flows(net41, vc))
+    batch = kernel(np.arange(len(chain)))
+    for k, sol in enumerate(sols):
+        for out, j in ((batch, k), (kernel([k]), 0)):
+            (conv, its, res), vc, (p_s, q_s, p_loss), flows = out
+            assert conv[j] and its[j] == sol.iterations
+            assert res[j] == sol.max_residual
+            assert np.array_equal(np.abs(vc[j]), sol.v)
+            assert np.array_equal(np.angle(vc[j]), sol.theta)
+            assert (p_s[j], q_s[j], p_loss[j]) == (sol.p_s, sol.q_s,
+                                                   sol.p_loss)
+            assert np.array_equal(flows[j], sol.flows)
+    # capped at two iterations, the flat-start update stops where the
+    # kernel does
+    (conv, its, res), _, _, _ = kernel([0], max_iter=2)
+    assert not conv[0]
+    with pytest.raises(NonConvergence) as exc:
+        solve_power_flow(net41, chain[0], max_iter=2)
+    assert (exc.value.iterations, exc.value.final_residual) == (its[0],
+                                                                res[0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -340,8 +393,8 @@ def test_pin_lands_exporting_cases_on_zero_slack_power(seed, n, beta0,
 
     def solve(pin):
         vc = np.ones((1, n), dtype=complex)
-        converged, _, _, _ = zbus_iterate(net.Y, s, vc, DEFAULT_TOL,
-                                          DEFAULT_MAX_ITER, net.Z, pin=pin)
+        converged, _, _ = zbus_iterate(net.Y, s, vc, DEFAULT_TOL,
+                                       DEFAULT_MAX_ITER, net.Z, pin=pin)
         assume(converged[0])
         return vc
     p_s0 = slack_power(net, net.Y, p[None, :], solve(None))[0][0]
