@@ -9,18 +9,18 @@ oracle.
 
 The search has one setting, the module constants below; ``OPFOptions``
 holds only the evaluation budget. Each polish round is one complete poll:
-every coordinate and exchange move at every step from POLISH_STEP down to
-POLISH_STEP_MIN goes into one batched evaluation, and the search stops when
-no move at any step improves the objective. Whenever the wind exceeds
-demand plus losses the optimum lies on the reverse-flow boundary p_s = 0.
-One landing rule, ``_land``, evaluates every seed and poll point: the
-kernel lands it on the boundary inside the power-flow iteration, lowering
-the beta of the station with the most wind to give up (other than the one
-its move raised) until the slack's active power is zero (``zbus_iterate``'s
-pin). So an exporting seed corner lands on the boundary, and a move that
-overshoots it becomes a slide along it, in the call that evaluates them.
-Only a point whose station runs out of room takes one more call, from its
-own state, through the next station with room.
+every station raised and every station lowered, at every step from
+POLISH_STEP down to POLISH_STEP_MIN, goes into one batched evaluation, and
+the search stops when no move at any step improves the objective. Whenever
+the wind exceeds demand plus losses the optimum lies on the reverse-flow
+boundary p_s = 0. One landing rule, ``_land``, evaluates every seed and
+poll point: the kernel lands it on the boundary inside the power-flow
+iteration, lowering the beta of the station with the most wind to give up
+(other than the one its move raised) until the slack's active power is zero
+(``zbus_iterate``'s pin). So an exporting seed corner lands on the
+boundary, and a move that overshoots it becomes a slide along it, in the
+call that evaluates them. Only a point whose station runs out of room takes
+one more call, from its own state, through the next station with room.
 
 The receding-horizon controller solves tens of thousands of these problems
 per simulated day, so the evaluator batches candidate points through the
@@ -350,25 +350,16 @@ def _land(ev: _Evaluator, xs,
     return out
 
 
-def _poll(x: np.ndarray, wind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The complete poll from x: each station raised, each lowered, and each
-    wind-weighted exchange, at every step POLISH_STEP, POLISH_STEP/2, ...
-    >= POLISH_STEP_MIN, largest step first, clipped to the box; duplicates
-    and x itself are left out. Returns the points and, per point, the
-    station its move raised (-1 for a lowering move).
-
-    An exchange raises station i by the step and lowers station j by the
-    step times w_i / w_j (both with wind), which holds the total injection,
-    and hence the slack balance, roughly constant: the direction along the
-    active-power boundary of the feasible set.
+def _poll(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The complete poll from x: each station raised and each lowered, at
+    every step POLISH_STEP, POLISH_STEP/2, ... >= POLISH_STEP_MIN, largest
+    step first, clipped to the box; duplicates and x itself are left out.
+    Returns the points and, per point, the station its move raised (-1 for
+    a lowering move).
     """
     n = x.size
-    pairs = [(i, j) for i in range(n) for j in range(n)
-             if i != j and wind[i] > 0 and wind[j] > 0]
-    d = np.vstack([np.eye(n), -np.eye(n), np.zeros((len(pairs), n))])
-    for m, (i, j) in enumerate(pairs, 2 * n):
-        d[m, i], d[m, j] = 1.0, -wind[i] / wind[j]
-    raised = np.array([*range(n), *[-1] * n, *(i for i, _ in pairs)])
+    d = np.vstack([np.eye(n), -np.eye(n)])
+    raised = np.array([*range(n), *[-1] * n])
     steps = [POLISH_STEP]
     while steps[-1] / 2.0 >= POLISH_STEP_MIN:
         steps.append(steps[-1] / 2.0)
@@ -386,17 +377,18 @@ def _polish(ev: _Evaluator, x: np.ndarray, e: _Eval, max_evals: int):
     """Pattern search with a complete poll, one batch per round.
 
     Each round lands every point of ``_poll`` (all steps at once) through
-    ``_land``, one kernel call unless a point hands over. A move that would
-    cross the reverse-flow boundary lands on it through a station it did
-    not raise: raising one station slides along the binding surface instead
-    of stalling against the infeasibility wall. The search moves to the
-    best improver and stops when no move at any step improves the score by
-    more than TOL_OBJ.
+    ``_land``, one kernel call unless a point hands over. A raise that
+    would cross the reverse-flow boundary lands on it through a station it
+    did not raise, so it slides along the binding surface instead of
+    stalling against the infeasibility wall: the landing makes the moves
+    along the boundary, and the poll needs none of its own. The search
+    moves to the best improver and stops when no move at any step improves
+    the score by more than TOL_OBJ.
     Returns the best point, its evaluation, and whether a poll found no
     improvement before the budget ran out.
     """
     while ev.evals < max_evals:
-        results = _land(ev, *_poll(x, ev.wind))
+        results = _land(ev, *_poll(x))
         xb, eb = max(results, key=lambda r: r[1].score,
                      default=(x, e))  # the first maximum
         if not eb.score > e.score + TOL_OBJ:

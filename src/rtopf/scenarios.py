@@ -9,10 +9,12 @@ highest to lowest wind.
 The table is solved by blocks: the rows that share every station's level
 but the last station's, in index order (seven rows each for two stations).
 Within a block every earlier row's wind box contains every later row's, so
-a later row whose box still holds an earlier row's optimal injection takes
-that optimum instead of a search (``solve_opf``'s incumbent): one mismatch
-check of the earlier row's state at the later row's injection, and no
-power flow. On the reference table 7 of the 49 rows are searched.
+each row is offered the block's latest searched optimal row
+(``solve_opf``'s incumbent). Where that row's optimal injection still lies
+in the later row's box, the later row takes that optimum instead of a
+search: one mismatch check of the earlier row's state at the later row's
+injection, and no power flow. On the reference table 7 of the 49 rows are
+searched.
 """
 
 from __future__ import annotations
@@ -145,25 +147,22 @@ def enumerate_scenarios(levels: WindLevels) -> list[Scenario]:
 
 def _solve_block(args) -> list[tuple[int, OPFSolution]]:
     """Solve one block of rows in index order. Each row offers ``solve_opf``
-    the latest earlier searched optimal row of the block whose injection
-    beta * w fits inside its own wind; a reused row (``evals`` 0) is not
+    the block's latest searched optimal row as its incumbent; ``_reuse``
+    decides whether that row's optimum fits. An older row is never needed:
+    a row is searched only because no earlier optimum fitted it, and every
+    later row's box lies inside its box. A reused row (``evals`` 0) is not
     offered on, as its point is its incumbent's."""
     net, inp, block, opts = args
-    out, searched = [], []
+    out, incumbent = [], None
     for sc in block:
         row = inp.with_wind({st.bus: w for st, w in zip(net.stations,
                                                          sc.wind)})
-        incumbent = next(
-            ((inp_a, sol_a) for inp_a, sol_a, wind_a in reversed(searched)
-             if all(b * wa <= wb
-                    for b, wa, wb in zip(sol_a.beta, wind_a, sc.wind))),
-            None)
         try:
             sol = solve_opf(net, row, opts, incumbent=incumbent)
         except Exception as exc:  # a failed row must not sink the table
             sol = _failed(len(net.stations), STATUS_FAILURE, 0, repr(exc))
         if sol.status == STATUS_OPTIMAL and sol.evals > 0:
-            searched.append((row, sol, sc.wind))
+            incumbent = (row, sol)
         out.append((sc.index, sol))
     return out
 

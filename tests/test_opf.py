@@ -303,8 +303,10 @@ def random_horizons(base, net, count):
 def test_no_polish_move_improves_the_returned_point(net41, horizon1):
     # the stopping certificate of the complete poll, checked move by move
     # at each of the five steps 0.25 .. 0.25/16: each station raised, each
-    # lowered, and each exchange raising station i by the step while
-    # lowering station j by the step times w_i / w_j
+    # lowered, and, beyond the poll, each exchange raising station i by the
+    # step while lowering station j by the step times w_i / w_j; the poll
+    # itself makes the coordinate moves only, as the landing slides a raise
+    # along p_s = 0
     steps = [POLISH_STEP / 2.0 ** k for k in range(5)]
     assert steps[-1] >= POLISH_STEP_MIN > steps[-1] / 2.0
     for inp in [horizon1, *random_horizons(horizon1, net41, 6)]:
@@ -326,7 +328,7 @@ def test_no_polish_move_improves_the_returned_point(net41, horizon1):
                 if j is not None:
                     xn[j] = min(1.0, max(0.0, x[j] - w[i] / w[j] * step))
                 raised = i if di > 0 else -1
-                if tuple(xn) not in seen:
+                if j is None and tuple(xn) not in seen:
                     seen.add(tuple(xn))
                     polled.append((tuple(xn), raised))
                 landed = _land(ev, [xn], np.array([raised]))  # as polled
@@ -334,8 +336,8 @@ def test_no_polish_move_improves_the_returned_point(net41, horizon1):
                     continue
                 assert landed[0][1].score <= score + TOL_OBJ, (inp, step,
                                                                 i, j)
-        # the poll evaluates these points, in this order, in one call
-        cands, raised = _poll(x, ev.wind)
+        # the poll evaluates the coordinate moves, in this order, in one call
+        cands, raised = _poll(x)
         assert [(tuple(c), r) for c, r in zip(cands, raised)] == polled
 
 
@@ -346,8 +348,10 @@ def test_reference_table_takes_few_kernel_calls(net41, horizon1,
     # taking one batched call for the seed grid and one per poll round,
     # keeps the table at 14 search calls; searching every row made 101, a
     # second call per round for the projection 404, and polling one step
-    # size per call about 1000. Every row is reported from the batch that
-    # evaluated it, so the build runs no single-point power flow.
+    # size per call about 1000. A poll of coordinate moves alone keeps the
+    # 14 calls at 133 evaluations; with exchange moves it took 203. Every
+    # row is reported from the batch that evaluated it, so the build runs
+    # no single-point power flow.
     calls, single = [], []
     kernel = opf.zbus_iterate
     solve = powerflow.solve_power_flow
@@ -369,6 +373,7 @@ def test_reference_table_takes_few_kernel_calls(net41, horizon1,
     assert all(sol.status == STATUS_OPTIMAL for _, sol in table.rows)
     assert sum(calls) == sum(sol.evals for _, sol in table.rows)
     assert len(calls) == 14
+    assert sum(calls) == 133
     assert single == []
 
 
