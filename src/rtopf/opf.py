@@ -291,9 +291,9 @@ def evaluate_objective(net: Network, inp: HorizonInput,
     # written so that NaN fails it too
     if not np.all((beta >= -1e-12) & (beta <= 1 + 1e-12)):
         raise ValueError("beta must lie in [0, 1] per station")
-    pf, terms = evaluate_point(net, inp.demand_p, inp.demand_q,
-                               _wind(net, inp), beta, inp.price_p,
-                               inp.price_q)
+    demand = InjectionSpec.from_mappings(net, inp.demand_p, inp.demand_q)
+    pf, terms = evaluate_point(net, demand, _wind(net, inp), beta,
+                               inp.price_p, inp.price_q)
     return ObjectiveBreakdown(*terms, power_flow=pf,
                               report=check_limits(net, pf, tol=TOL_CONS))
 

@@ -4,9 +4,10 @@ updates. The state is the complex bus voltage throughout. The OPF runs the
 iteration in the batched kernel ``zbus_iterate``, on K cases as (K, n)
 arrays; ``solve_power_flow`` runs it for one case in its own loop on 1-D
 arrays, where the batch bookkeeping would cost more than the products, and
-matches the kernel bitwise. Slack power, branch flows and limit margins take
-either shape. ``evaluate_point`` runs injections, solve and objective at
-one operating point: ``evaluate_objective`` and each realized update. The
+matches the kernel bitwise. Injections, slack power, branch flows and limit
+margins take either shape. ``evaluate_point`` runs injections, solve and
+objective at one operating point for a demand already converted to bus
+order: ``evaluate_objective`` and each realized update. The
 OPF reports its rows from its own batches, and checks a reused row's state
 with ``power_mismatch``, the kernel's convergence test. The OPF search
 also pins cases of the iteration: a pinned case lowers one station's wind
@@ -83,18 +84,23 @@ class PowerFlowSolution:
 
 def injections(net: Network, demand: InjectionSpec, wind,
                beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bus injections in MW / Mvar for K curtailment vectors.
+    """Bus injections in MW / Mvar for K curtailment vectors or one.
 
     ``demand`` is the demand per bus (``InjectionSpec.from_mappings``),
-    ``beta`` is (K, stations) and ``wind`` the available MW per station, in
-    ``net.stations`` order. Demand enters negative and wind at unity power
-    factor. Returns p and q, each (K, n), and the wind injected per case (K,).
+    ``beta`` is (K, stations) or one (stations,) and ``wind`` the available
+    MW per station, in ``net.stations`` order. Demand enters negative and
+    wind at unity power factor. Returns p and q, each (K, n), and the wind
+    injected per case (K,); for one beta, p and q are (n,) and the wind a
+    scalar.
     """
-    w = np.asarray(beta, dtype=float) * np.asarray(wind, dtype=float)
-    p = np.repeat(-demand.p_mw[None, :], w.shape[0], axis=0)
-    p[:, net.station_index] += w  # station buses are distinct
-    q = np.repeat(-demand.q_mvar[None, :], w.shape[0], axis=0)
-    return p, q, w.sum(axis=1)
+    w = np.multiply(beta, wind, dtype=float)
+    shape = w.shape[:-1] + demand.p_mw.shape
+    p = np.negative(demand.p_mw, out=np.empty(shape))
+    # the transposes put the bus axis first in either shape; station buses
+    # are distinct
+    p.T[net.station_index] += w.T
+    q = np.negative(demand.q_mvar, out=np.empty(shape))
+    return p, q, w.sum(axis=-1)
 
 
 def _per_bus(net: Network, by_bus: Mapping[int, float]) -> np.ndarray:
@@ -130,12 +136,13 @@ def start_state(net: Network, start=None) -> np.ndarray:
     """A (1, n) complex state: the slack bus at its set voltage, and every
     other bus at that voltage too (a flat start) or at the (v, theta) of
     ``start``."""
-    vc = np.full((1, net.n_buses),
-                 net.slack_voltage * np.exp(1j * net.slack_angle))
-    if start is not None:
-        v, theta = (np.asarray(a, dtype=float)[1:] for a in start)
-        vc[0, 1:] = v * np.exp(1j * theta)
-    return vc
+    slack = net.slack_voltage * np.exp(1j * net.slack_angle)
+    if start is None:
+        return np.full((1, net.n_buses), slack)
+    v, theta = start
+    vc = v * np.exp(1j * np.asarray(theta, dtype=float))
+    vc[0] = slack
+    return vc[None]
 
 
 def zbus_iterate(y: np.ndarray, s_pu: np.ndarray, vc: np.ndarray,
@@ -250,14 +257,15 @@ def slack_power(net: Network, y: np.ndarray, p_mw: np.ndarray,
 def branch_flows(net: Network, vc: np.ndarray) -> np.ndarray:
     """Apparent power per branch in MVA, the larger of the two ends, for
     (K, n) complex states or one (n,); returns (K, branches) or
-    (branches,)."""
+    (branches,). The to-end current ``(vt - vf)·ys + vt·bsh`` is taken as
+    ``vt·bsh - d`` with ``d = (vf - vt)·ys``, the from-end's series term:
+    negation is exact, so each end rounds as its own formula does."""
     fidx, tidx, ys, bsh = net.branch_arrays
-    vf, vt = vc[..., fidx], vc[..., tidx]
-    i_f = (vf - vt) * ys + vf * bsh
-    i_t = (vt - vf) * ys + vt * bsh
-    s_f = np.abs(vf * np.conj(i_f))
-    s_t = np.abs(vt * np.conj(i_t))
-    return np.maximum(s_f, s_t) * net.base_mva
+    vf, vt = vc.take(fidx, axis=-1), vc.take(tidx, axis=-1)
+    d = (vf - vt) * ys
+    s_f = np.abs(vf * np.conj(d + vf * bsh))
+    s_t = np.abs(vt * np.conj(vt * bsh - d))
+    return np.maximum(s_f, s_t, out=s_f) * net.base_mva
 
 
 def objective(price_p, price_q, injected, p_loss, p_s, q_s):
@@ -332,16 +340,15 @@ def solve_power_flow(net: Network, inj: InjectionSpec, *,
         max_residual=res)
 
 
-def evaluate_point(net: Network, demand_p: Mapping[int, float],
-                   demand_q: Mapping[int, float], wind, beta,
+def evaluate_point(net: Network, demand: InjectionSpec, wind, beta,
                    price_p: float, price_q: float, **pf_args):
     """``injections``, ``solve_power_flow`` (keyword arguments ``pf_args``)
-    and ``objective`` at one beta, at prices the caller has prorated.
-    Returns the solution and (f, f1, f2, f3, f4)."""
-    demand = InjectionSpec.from_mappings(net, demand_p, demand_q)
-    p, q, injected = injections(net, demand, wind, [beta])
-    pf = solve_power_flow(net, InjectionSpec(p[0], q[0]), **pf_args)
-    return pf, objective(price_p, price_q, float(injected[0]), pf.p_loss,
+    and ``objective`` at one beta, for the demand per bus ``demand``
+    (``InjectionSpec.from_mappings``) and at prices the caller has
+    prorated. Returns the solution and (f, f1, f2, f3, f4)."""
+    p, q, injected = injections(net, demand, wind, beta)
+    pf = solve_power_flow(net, InjectionSpec(p, q), **pf_args)
+    return pf, objective(price_p, price_q, float(injected), pf.p_loss,
                          pf.p_s, pf.q_s)
 
 
@@ -385,7 +392,7 @@ class ConstraintReport:
 
     @property
     def violations(self) -> tuple[ConstraintCheck, ...]:
-        return self._checks(np.flatnonzero(self.margins < -self.tol))
+        return self._checks((self.margins < -self.tol).nonzero()[0].tolist())
 
     @property
     def ok(self) -> bool:

@@ -20,8 +20,8 @@ import numpy as np
 
 from .network import Network
 from .opf import HorizonInput, OPFOptions, STATUS_OPTIMAL
-from .powerflow import (PowerFlowError, PowerFlowSolution, check_limits,
-                        evaluate_point)
+from .powerflow import (InjectionSpec, PowerFlowError, PowerFlowSolution,
+                        check_limits, evaluate_point)
 from .profiles import (DayProfiles, SLOTS_PER_DAY, UPDATES_PER_SLOT,
                        validate_profiles)
 from .scenarios import (DEFAULT_DEADLINE_S, LevelWidths, LookupTable,
@@ -149,9 +149,9 @@ def apply_and_realize(net: Network,
     """Power flow at the realized injection beta*actual and the objective
     components prorated to one update interval."""
     frac = timing.update / timing.horizon
-    pf, terms = evaluate_point(net, demand_p, demand_q, actual, beta,
-                               price_p * frac, price_q * frac, y=y,
-                               start=start)
+    demand = InjectionSpec.from_mappings(net, demand_p, demand_q)
+    pf, terms = evaluate_point(net, demand, actual, beta, price_p * frac,
+                               price_q * frac, y=y, start=start)
     return pf, dict(zip(("f", "f1", "f2", "f3", "f4"), terms))
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rtopf.network import build_admittance
+from rtopf.network import NetworkValidationError, build_admittance
 from rtopf.opf import SURFACE_TOL
 from rtopf.powerflow import (DEFAULT_MAX_ITER, DEFAULT_TOL, InjectionSpec,
                              NonConvergence, PowerFlowError, branch_flows,
@@ -156,6 +156,63 @@ def test_singular_admittance_raises():
     with pytest.raises(SingularJacobian) as exc:
         solve_power_flow(net, injections(net, {2: -1.0}))
     assert exc.value.iteration == 0
+
+
+def test_from_mappings_keeps_the_per_bus_conversion(net41, horizon1):
+    def loop(by_bus):
+        # the conversion as a plain loop: int() on every key, the values of
+        # one bus summed in dict order
+        out = [0.0] * net41.n_buses
+        for bus, val in by_bus.items():
+            out[net41.index_of(int(bus))] += val
+        return np.array(out)
+    spec = InjectionSpec.from_mappings(net41, horizon1.demand_p,
+                                       horizon1.demand_q)
+    assert spec.p_mw.tobytes() == loop(horizon1.demand_p).tobytes()
+    assert spec.q_mvar.tobytes() == loop(horizon1.demand_q).tobytes()
+    # numpy-int and string keys map through int()
+    p = {np.int64(5): 1.5, "7": 2.5, np.int32(41): -0.25}
+    q = {"9": -0.5, np.uint8(3): 0.75}
+    spec = InjectionSpec.from_mappings(net41, p, q)
+    assert spec.p_mw.tobytes() == loop(p).tobytes()
+    assert spec.q_mvar.tobytes() == loop(q).tobytes()
+    assert spec.p_mw[net41.index_of(7)] == 2.5
+    assert spec.q_mvar[net41.index_of(9)] == -0.5
+    # keys that are one bus after int() sum in dict order: 1e16 + 1
+    # rounds back to 1e16
+    i = net41.index_of(2)
+    first = InjectionSpec.from_mappings(net41, {2: 1e16, "2": 1.0,
+                                                "02": -1e16}, {})
+    last = InjectionSpec.from_mappings(net41, {2: 1e16, "02": -1e16,
+                                               "2": 1.0}, {})
+    assert (first.p_mw[i], last.p_mw[i]) == (0.0, 1.0)
+    for bad in (99, "99", np.int64(99)):
+        with pytest.raises(NetworkValidationError, match="unknown bus id 99"):
+            InjectionSpec.from_mappings(net41, {2: 1.0, bad: 1.0}, {})
+        with pytest.raises(NetworkValidationError, match="unknown bus id 99"):
+            InjectionSpec.from_mappings(net41, {}, {bad: 1.0})
+
+
+def test_injections_take_one_beta_or_a_batch(net41, horizon1):
+    demand = InjectionSpec.from_mappings(net41, horizon1.demand_p,
+                                         horizon1.demand_q)
+    wind = [horizon1.wind_available[b] for b in net41.station_buses]
+    betas = np.array([[1.0, 0.35], [0.0, 1.0], [0.7, 0.2]])
+    p, q, injected = inject(net41, demand, wind, betas)
+    assert p.shape == q.shape == (3, net41.n_buses)
+    for k, beta in enumerate(betas):
+        p1, q1, injected1 = inject(net41, demand, wind, tuple(beta))
+        assert p1.shape == q1.shape == (net41.n_buses,)
+        assert np.ndim(injected1) == 0
+        assert np.array_equal(p1, p[k]) and np.array_equal(q1, q[k])
+        assert injected1 == injected[k]
+    # demand enters negative, wind at the station buses only
+    assert np.array_equal(q1, -demand.q_mvar)
+    others = np.setdiff1d(np.arange(net41.n_buses), net41.station_index)
+    assert np.array_equal(p1[others], -demand.p_mw[others])
+    assert np.array_equal(p1[net41.station_index],
+                          -demand.p_mw[net41.station_index]
+                          + betas[-1] * wind)
 
 
 def test_case41_converges_fast_across_load_and_wind(net41, horizon1):
@@ -407,3 +464,29 @@ def test_pin_lands_exporting_cases_on_zero_slack_power(seed, n, beta0,
         assert 0.0 <= beta[0] <= beta0
         assert abs(slack_power(net, net.Y, p[None, :], vc)[0][0]) \
             <= SURFACE_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12), st.integers(1, 6),
+       st.floats(0.0, 1.0))
+def test_branch_flows_match_the_two_end_formula_bitwise(seed, n, k, flat):
+    # random complex states on a random feeder, a share of the buses at
+    # exactly 1 pu so that some branches carry no series current
+    rng = np.random.default_rng(seed)
+    net = random_radial_net(rng, n)
+    vc = rng.uniform(0.5, 1.5, size=(k, n)) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, size=(k, n)))
+    vc[rng.random((k, n)) < flat] = 1.0
+    fidx, tidx, ys, bsh = net.branch_arrays
+
+    def two_end(v):
+        vf, vt = v[..., fidx], v[..., tidx]
+        i_f = (vf - vt) * ys + vf * bsh
+        i_t = (vt - vf) * ys + vt * bsh
+        return np.maximum(np.abs(vf * np.conj(i_f)),
+                          np.abs(vt * np.conj(i_t))) * net.base_mva
+    flows = branch_flows(net, vc)
+    assert flows.shape == (k, n - 1)
+    assert flows.tobytes() == two_end(vc).tobytes()
+    for row in vc:
+        assert branch_flows(net, row).tobytes() == two_end(row).tobytes()

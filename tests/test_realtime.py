@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 
 from rtopf import realtime
 from rtopf.opf import FAST_OPTS, HorizonInput, evaluate_objective
+from rtopf.powerflow import (DEFAULT_MAX_ITER, DEFAULT_TOL, InjectionSpec,
+                             branch_flows, injections, slack_power,
+                             start_state, zbus_iterate)
 from rtopf.profiles import (ProfileGenConfig, SLOTS_PER_DAY,
                             UPDATES_PER_SLOT, gen_day_profiles)
 from rtopf.realtime import (TimingConfig, apply_and_realize, run_day,
@@ -15,7 +19,7 @@ from rtopf.realtime import (TimingConfig, apply_and_realize, run_day,
 from rtopf.scenarios import (build_lookup_table, enumerate_scenarios,
                              make_levels)
 
-from conftest import chain_net
+from conftest import DATA, chain_net
 
 SHAPE = [0.7] * 24
 BASE = [3.0] * 24
@@ -115,6 +119,58 @@ def test_apply_and_realize_matches_evaluate_objective(net41, horizon1):
     assert pf.p_s == bd.power_flow.p_s
     assert (comps["f"], comps["f1"], comps["f2"], comps["f3"],
             comps["f4"]) == (bd.f, bd.f1, bd.f2, bd.f3, bd.f4)
+
+
+def test_run_day_chain_matches_dict_updates_and_the_kernel(net41):
+    # each run_day update must equal apply_and_realize on the horizon's
+    # dicts, warm-started from the update before, and the batched kernel at
+    # K = 1 from the same start, bitwise
+    with open(DATA / "hourly_demand_shape.json") as fh:
+        shape = json.load(fh)["hourly_shape"]
+    with open(DATA / "hourly_wind_base.json") as fh:
+        base = json.load(fh)["hourly_base_mw"]
+    profiles = gen_day_profiles(net41, shape, base, ProfileGenConfig(seed=0))
+    run = run_day(net41, profiles, opts=FAST_OPTS, n_horizons=2)
+    assert len(run.records) == 2 * UPDATES_PER_SLOT
+    mva = net41.base_mva
+    warm = None
+    for r in run.records:
+        assert not r.failed
+        h, ref = r.horizon_id, r.realized
+        demand_p = {b: float(a[h]) for b, a in profiles.demand_p.items()}
+        demand_q = {b: float(a[h]) for b, a in profiles.demand_q.items()}
+        pf, comps = apply_and_realize(net41, demand_p, demand_q,
+                                      r.actual_wind, r.applied_beta,
+                                      start=warm)
+        assert np.array_equal(pf.v, ref.v)
+        assert np.array_equal(pf.theta, ref.theta)
+        assert np.array_equal(pf.flows, ref.flows)
+        assert (pf.p_s, pf.q_s, pf.p_loss, pf.iterations) == (
+            ref.p_s, ref.q_s, ref.p_loss, ref.iterations)
+        assert (comps["f"], comps["f1"], comps["f2"], comps["f3"],
+                comps["f4"]) == (r.realized_f, r.realized_f1,
+                                 r.realized_f2, r.realized_f3,
+                                 r.realized_f4)
+        demand = InjectionSpec.from_mappings(net41, demand_p, demand_q)
+        p, q, _ = injections(net41, demand, r.actual_wind,
+                             [r.applied_beta])
+        # the start state written out: the slack at its set voltage, the
+        # other buses flat or at the previous update's (v, theta)
+        vc = np.full((1, net41.n_buses),
+                     net41.slack_voltage * np.exp(1j * net41.slack_angle))
+        if warm is not None:
+            vc[0, 1:] = warm[0][1:] * np.exp(1j * warm[1][1:])
+        assert np.array_equal(start_state(net41, warm), vc)
+        converged, iterations, _ = zbus_iterate(
+            net41.Y, p / mva + 1j * (q / mva), vc, DEFAULT_TOL,
+            DEFAULT_MAX_ITER, net41.Z)
+        assert converged[0] and iterations[0] == ref.iterations
+        assert np.array_equal(np.abs(vc[0]), ref.v)
+        assert np.array_equal(np.angle(vc[0]), ref.theta)
+        p_s, q_s, p_loss = slack_power(net41, net41.Y, p, vc)
+        assert (p_s[0], q_s[0], p_loss[0]) == (ref.p_s, ref.q_s, ref.p_loss)
+        assert np.array_equal(branch_flows(net41, vc)[0], ref.flows)
+        warm = (ref.v, ref.theta)
 
 
 def day_fixture(seed=0, stations=(3,)):
