@@ -28,8 +28,10 @@ batched Z-bus power flow of ``rtopf.powerflow``, on complex bus voltages.
 Each evaluation keeps what its batch computed (state, slack power, flows,
 limit margins, objective terms), and a reported solution is assembled from
 the batch row that scored its point, so no point is solved twice. A row
-that reuses an earlier row's optimum (``solve_opf``'s incumbent) is
-certified by one mismatch check of that row's state at its own injection.
+that reuses an earlier row's optimum (``solve_opf``'s incumbent, an
+``Incumbent`` record built once per searched row) is certified by one
+mismatch check of that row's state at its own injection, and builds no
+evaluator.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ import numpy as np
 from .network import Network
 from .powerflow import (DEFAULT_TOL, ConstraintReport, InjectionSpec,
                         PowerFlowSolution, branch_flows, check_limits,
-                        evaluate_point, injections, limit_margins, objective,
-                        power_mismatch, slack_power, start_state,
+                        drawn_power, evaluate_point, injections,
+                        limit_margins, objective, slack_power, start_state,
                         zbus_iterate)
 
 STATUS_OPTIMAL = "optimal"
@@ -187,12 +189,6 @@ class _Evaluator:
         self.evals = 0
         self._warm = start_state(net)[0]
 
-    def injected(self, beta: np.ndarray):
-        """``injections`` at (K, stations) betas: the active injections
-        (MW), the complex injections (pu) and the wind injected per case."""
-        p, _, injected = injections(self.net, self.demand, self.wind, beta)
-        return p, p / self.net.base_mva + 1j * self._q_pu, injected
-
     def eval_many(self, xs: Sequence[np.ndarray], slide=None,
                   start=None) -> list[tuple[np.ndarray, _Eval]]:
         """Evaluate K points in one kernel call; returns (beta, evaluation)
@@ -204,7 +200,8 @@ class _Evaluator:
         self.evals += k
         net, inp = self.net, self.inp
         beta = np.array(xs, dtype=float).reshape(k, -1)
-        p, s_pu, injected = self.injected(beta)
+        p, _, injected = injections(net, self.demand, self.wind, beta)
+        s_pu = p / net.base_mva + 1j * self._q_pu
         vc = (np.repeat(self._warm[None, :], k, axis=0) if start is None
               else np.array(start))
         pin = None
@@ -271,6 +268,39 @@ class _Evaluator:
 def _wind(net: Network, inp: HorizonInput) -> np.ndarray:
     return np.array([inp.wind_available.get(s.bus, 0.0)
                      for s in net.stations])
+
+
+@dataclass(frozen=True, eq=False)
+class Incumbent:
+    """An optimal row A with what ``_reuse`` needs of it that does not
+    depend on the row B it is offered to, computed once: A's wind and
+    injection P_A = beta_A * w_A per station, its demand per bus, and the
+    power its state draws (``drawn_power``). Build it with ``of``."""
+    inp: HorizonInput
+    sol: OPFSolution
+    wind: tuple[float, ...]   # MW per station
+    p: tuple[float, ...]      # P_A, MW per station
+    neg_p: np.ndarray         # minus the demand per bus, MW
+    jq: np.ndarray            # 1j times minus the demand per bus (pu),
+    drawn: np.ndarray         # and the drawn power, at the non-slack buses
+
+    @staticmethod
+    def of(net: Network, inp: HorizonInput,
+           sol: OPFSolution) -> "Incumbent | None":
+        """The record of row ``inp`` solved as ``sol``; None unless ``sol``
+        is optimal with every limit held, which any reuse requires."""
+        if sol.status != STATUS_OPTIMAL or not sol.report.ok:
+            return None
+        demand = InjectionSpec.from_mappings(net, inp.demand_p, inp.demand_q)
+        wind = _wind(net, inp).tolist()
+        pf = sol.power_flow
+        return Incumbent(
+            inp=inp, sol=sol, wind=tuple(wind),
+            p=tuple(b * w for b, w in zip(sol.beta, wind)),
+            neg_p=-demand.p_mw,
+            jq=(1j * (-demand.q_mvar / net.base_mva))[1:],
+            drawn=drawn_power(net.Y[1:],
+                              start_state(net, (pf.v, pf.theta)))[0])
 
 
 @dataclass(frozen=True)
@@ -397,9 +427,10 @@ def _polish(ev: _Evaluator, x: np.ndarray, e: _Eval, max_evals: int):
     return x, e, False
 
 
-def _reuse(ev: _Evaluator, incumbent) -> OPFSolution | None:
-    """The optimum of ``incumbent`` = (input A, solution A) as the optimum
-    of ``ev``'s input B, or None when A does not qualify.
+def _reuse(net: Network, inp: HorizonInput, wind: np.ndarray,
+           incumbent: Incumbent) -> OPFSolution | None:
+    """The optimum of row A (``incumbent``) as the optimum of row B (input
+    ``inp``, wind ``wind``), or None when A does not qualify.
 
     f and every constraint depend on beta only through the injection
     P = beta * w, and a row's wind w only sets the box 0 <= P <= w. So when
@@ -410,48 +441,52 @@ def _reuse(ev: _Evaluator, incumbent) -> OPFSolution | None:
     P_A / w_B. A's state must solve B's own injection: its largest P or Q
     mismatch there is at most PF_TOL, the test with which a power flow
     started from that state would stop at once. B then keeps A's state,
-    slack power, flows and constraint report (which must be ok), reports
-    0 iterations and that mismatch, and takes its losses and objective
-    terms from its own injection. Nothing is solved.
+    slack power, flows and constraint report (``Incumbent.of`` requires it
+    ok), reports 0 iterations and that mismatch, and takes its losses and
+    objective terms from its own injection. Nothing is solved.
+
+    Only the steps that depend on B run here, each with the arithmetic of
+    the evaluator's own: the box tests and beta on floats, B's injection
+    from A's demand, and the mismatch against A's drawn power.
     """
-    inp_a, sol_a = incumbent
-    inp = ev.inp
-    if (sol_a.status != STATUS_OPTIMAL or not sol_a.report.ok
-            or (inp.demand_p, inp.demand_q, inp.price_p, inp.price_q)
-            != (inp_a.demand_p, inp_a.demand_q, inp_a.price_p,
-                inp_a.price_q)):
+    a = incumbent
+    if ((inp.demand_p, inp.demand_q, inp.price_p, inp.price_q)
+            != (a.inp.demand_p, a.inp.demand_q, a.inp.price_p,
+                a.inp.price_q)):
         return None
-    w_a, w_b = _wind(ev.net, inp_a), ev.wind
-    beta_a = np.array(sol_a.beta)
-    p_a = beta_a * w_a
-    if not (np.all(w_b <= w_a) and np.all(p_a <= w_b)):
+    beta = []
+    for b_a, w_a, p_a, w_b in zip(a.sol.beta, a.wind, a.p, wind.tolist()):
+        if not (w_b <= w_a and p_a <= w_b):
+            return None
+        beta.append(b_a if w_b == w_a or w_b == 0
+                    else min(max(p_a / w_b, 0.0), 1.0))
+    w = np.multiply(beta, wind)
+    p = a.neg_p.copy()
+    p[net.station_index] += w
+    ds = p[1:] / net.base_mva + a.jq - a.drawn
+    res = float(np.abs(ds.view(float)).max(initial=0.0))
+    if not res <= PF_TOL:
         return None
-    keep = (w_b == w_a) | (w_b == 0)
-    beta = np.where(keep, beta_a, np.clip(
-        p_a / np.where(keep, 1.0, w_b), 0.0, 1.0))
-    pf = sol_a.power_flow
-    p, s_pu, injected = ev.injected(beta[None, :])
-    _, res = power_mismatch(ev.net.Y[1:], s_pu[:, 1:],
-                            start_state(ev.net, (pf.v, pf.theta)))
-    if not res[0] <= PF_TOL:
-        return None
+    pf = a.sol.power_flow
     # the slack covers demand minus wind plus losses (``slack_power``)
-    p_loss = pf.p_s + float(p[0, 1:].sum())
-    f, f1, f2, f3, f4 = objective(inp.price_p, inp.price_q,
-                                  float(injected[0]), p_loss, pf.p_s, pf.q_s)
+    p_loss = pf.p_s + float(p[1:].sum())
+    f, f1, f2, f3, f4 = objective(inp.price_p, inp.price_q, float(w.sum()),
+                                  p_loss, pf.p_s, pf.q_s)
     return OPFSolution(
-        beta=tuple(float(x) for x in beta), p_s=pf.p_s, q_s=pf.q_s,
+        beta=tuple(beta), p_s=pf.p_s, q_s=pf.q_s,
         p_loss=p_loss, f=f, f1=f1, f2=f2, f3=f3, f4=f4,
         status=STATUS_OPTIMAL,
-        power_flow=replace(pf, iterations=0, max_residual=float(res[0])),
-        report=sol_a.report, evals=0,
+        power_flow=PowerFlowSolution(
+            v=pf.v, theta=pf.theta, p_s=pf.p_s, q_s=pf.q_s,
+            p_loss=pf.p_loss, flows=pf.flows, iterations=0,
+            max_residual=res),
+        report=a.sol.report, evals=0,
         message="optimum reused from an earlier row")
 
 
 def solve_opf(net: Network, inp: HorizonInput,
               opts: OPFOptions | None = None,
-              incumbent: tuple[HorizonInput, OPFSolution] | None = None
-              ) -> OPFSolution:
+              incumbent: Incumbent | None = None) -> OPFSolution:
     """Optimal curtailment factors for one scenario.
 
     status 'optimal': all constraints hold within TOL_CONS and the
@@ -461,30 +496,31 @@ def solve_opf(net: Network, inp: HorizonInput,
     status 'solver_failure': the evaluation budget ran out before the
     search converged; the best point found so far is attached.
 
-    ``incumbent`` optionally gives an earlier row of the same horizon as
-    (its input, its solution). When its optimum is provably this row's
-    (``_reuse``), one mismatch check of its state at this row's injection
-    replaces the search: the solution is 'optimal' with ``evals`` 0 and
-    says so in ``message``.
+    ``incumbent`` optionally gives an earlier optimal row of the same
+    horizon, as its ``Incumbent.of`` record. When its optimum is provably
+    this row's (``_reuse``), one mismatch check of its state at this row's
+    injection replaces the search: the solution is 'optimal' with
+    ``evals`` 0 and says so in ``message``, and no evaluator is built.
     Otherwise the incumbent is ignored and the search runs as without it.
     """
     opts = opts or OPFOptions()
     inp = inp.validated(net)
+    wind = _wind(net, inp)
+    windless = not (wind > 0).any()
+    # degenerate flat objectives (no stations among them): beta = (1, ..., 1)
+    degenerate = windless or (inp.price_p == 0 and inp.price_q == 0)
+    if incumbent is not None and not degenerate:
+        reused = _reuse(net, inp, wind, incumbent)
+        if reused is not None:
+            return reused
     ev = _Evaluator(net, inp)
     nst = len(net.stations)
     ones = np.ones(nst)
-    # degenerate flat objectives (no stations among them): beta = (1, ..., 1)
-    degenerate = (not np.any(ev.wind > 0)) or (
-        inp.price_p == 0 and inp.price_q == 0)
-    if incumbent is not None and not degenerate:
-        reused = _reuse(ev, incumbent)
-        if reused is not None:
-            return reused
     if degenerate:
         e = ev(ones)
         if e.feasible:
             return ev.solution(ones, e, STATUS_OPTIMAL)
-        if not np.any(ev.wind > 0):
+        if windless:
             return _failed(nst, STATUS_INFEASIBLE, ev.evals,
                            "infeasible at every beta (zero wind)")
 

@@ -121,6 +121,13 @@ def _products(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(m, x[..., None])[..., 0]
 
 
+def drawn_power(y_l: np.ndarray, vc: np.ndarray) -> np.ndarray:
+    """``V_l·conj(Y_l·V)``, the power (pu) that K complex states ``vc``
+    (K, n) take from the network at the non-slack buses; ``y_l`` is
+    ``y[1:]``."""
+    return vc[:, 1:] * np.conj(_products(y_l, vc))
+
+
 def power_mismatch(y_l: np.ndarray, s_l: np.ndarray,
                    vc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The power mismatch ``dS = S_l - V_l·conj(Y_l·V)`` at the non-slack
@@ -128,7 +135,7 @@ def power_mismatch(y_l: np.ndarray, s_l: np.ndarray,
     specified injections (pu) and ``vc`` the (K, n) complex voltages.
     Returns dS and, per case, its largest P or Q entry in absolute value,
     the quantity ``zbus_iterate`` compares with its tolerance."""
-    ds = s_l - vc[:, 1:] * np.conj(_products(y_l, vc))
+    ds = s_l - drawn_power(y_l, vc)
     return ds, np.abs(ds.view(float)).max(axis=1, initial=0.0)
 
 

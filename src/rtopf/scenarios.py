@@ -10,11 +10,13 @@ The table is solved by blocks: the rows that share every station's level
 but the last station's, in index order (seven rows each for two stations).
 Within a block every earlier row's wind box contains every later row's, so
 each row is offered the block's latest searched optimal row
-(``solve_opf``'s incumbent). Where that row's optimal injection still lies
-in the later row's box, the later row takes that optimum instead of a
-search: one mismatch check of the earlier row's state at the later row's
-injection, and no power flow. On the reference table 7 of the 49 rows are
-searched.
+(``solve_opf``'s incumbent). What reuse needs of that row alone (its demand
+per bus and the power its state draws) goes into one ``Incumbent`` record
+when it is searched. Where its optimal injection still lies in a later
+row's box, the later row takes that optimum instead of a search: one
+mismatch check of the earlier row's state at the later row's injection,
+with no power flow and no evaluator. On the reference table 7 of the 49
+rows are searched and build a record; the other 42 reuse one.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .network import Network
-from .opf import (HorizonInput, OPFOptions, OPFSolution, STATUS_FAILURE,
-                  STATUS_OPTIMAL, _failed, solve_opf)
+from .opf import (HorizonInput, Incumbent, OPFOptions, OPFSolution,
+                  STATUS_FAILURE, STATUS_OPTIMAL, _failed, solve_opf)
 
 LEVEL_LABELS = ("H3", "H2", "H1", "M", "L1", "L2", "L3")
 DEFAULT_DEADLINE_S = 112.0
@@ -151,7 +153,9 @@ def _solve_block(args) -> list[tuple[int, OPFSolution]]:
     decides whether that row's optimum fits. An older row is never needed:
     a row is searched only because no earlier optimum fitted it, and every
     later row's box lies inside its box. A reused row (``evals`` 0) is not
-    offered on, as its point is its incumbent's."""
+    offered on, as its point is its incumbent's. The incumbent's
+    ``Incumbent`` record is built once, when its row is searched, and lives
+    only in this loop."""
     net, inp, block, opts = args
     out, incumbent = [], None
     for sc in block:
@@ -162,7 +166,7 @@ def _solve_block(args) -> list[tuple[int, OPFSolution]]:
         except Exception as exc:  # a failed row must not sink the table
             sol = _failed(len(net.stations), STATUS_FAILURE, 0, repr(exc))
         if sol.status == STATUS_OPTIMAL and sol.evals > 0:
-            incumbent = (row, sol)
+            incumbent = Incumbent.of(net, row, sol)
         out.append((sc.index, sol))
     return out
 

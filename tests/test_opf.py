@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtopf import opf, powerflow, scenarios
-from rtopf.opf import (FAST_OPTS, HorizonInput, OPFOptions, POLISH_STEP,
-                       POLISH_STEP_MIN, STATUS_FAILURE, STATUS_INFEASIBLE,
-                       STATUS_OPTIMAL, SURFACE_TOL, TOL_OBJ, _Evaluator,
-                       _land, _poll, evaluate_objective, oracle_opf,
-                       solve_opf)
+from rtopf.opf import (FAST_OPTS, HorizonInput, Incumbent, OPFOptions,
+                       OPFSolution, POLISH_STEP, POLISH_STEP_MIN,
+                       STATUS_FAILURE, STATUS_INFEASIBLE, STATUS_OPTIMAL,
+                       SURFACE_TOL, TOL_OBJ, _Evaluator, _land, _poll,
+                       evaluate_objective, oracle_opf, solve_opf)
 from rtopf.profiles import ProfileGenConfig, gen_day_profiles
 from rtopf.scenarios import (build_lookup_table, enumerate_scenarios,
                              make_levels)
@@ -351,10 +352,13 @@ def test_reference_table_takes_few_kernel_calls(net41, horizon1,
     # size per call about 1000. A poll of coordinate moves alone keeps the
     # 14 calls at 133 evaluations; with exchange moves it took 203. Every
     # row is reported from the batch that evaluated it, so the build runs
-    # no single-point power flow.
-    calls, single = [], []
+    # no single-point power flow. Only a searched row builds an evaluator,
+    # and an incumbent record for the later rows of its block: 7 each, and
+    # none for the 42 reused rows.
+    calls, single, evaluators, records = [], [], [], []
     kernel = opf.zbus_iterate
     solve = powerflow.solve_power_flow
+    record = Incumbent.of
 
     def counted(*args, **kwargs):
         calls.append(len(args[2]))
@@ -363,8 +367,20 @@ def test_reference_table_takes_few_kernel_calls(net41, horizon1,
     def recorded(*args, **kwargs):
         single.append(args)
         return solve(*args, **kwargs)
+
+    class CountedEvaluator(_Evaluator):
+        def __init__(self, net, inp):
+            evaluators.append(inp)
+            super().__init__(net, inp)
+
+    def counted_record(net, inp, sol):
+        rec = record(net, inp, sol)
+        records.append(rec is not None)
+        return rec
     monkeypatch.setattr(opf, "zbus_iterate", counted)
     monkeypatch.setattr(powerflow, "solve_power_flow", recorded)
+    monkeypatch.setattr(opf, "_Evaluator", CountedEvaluator)
+    monkeypatch.setattr(Incumbent, "of", staticmethod(counted_record))
     buses = [s.bus for s in net41.stations]
     levels = make_levels([horizon1.wind_available[b] for b in buses], None,
                          [s.rated_power for s in net41.stations])
@@ -375,16 +391,25 @@ def test_reference_table_takes_few_kernel_calls(net41, horizon1,
     assert len(calls) == 14
     assert sum(calls) == 133
     assert single == []
+    searched = sum(sol.evals > 0 for _, sol in table.rows)
+    assert searched == 7
+    assert len(evaluators) == searched
+    assert records == [True] * searched
 
 
 def solution_key(sol):
-    """Every field of a solution, the power-flow state bitwise."""
-    pf = sol.power_flow
+    """Every field of a solution, its power flow and the values and margins
+    of its report, the arrays bitwise."""
+    pf, report = sol.power_flow, sol.report
     return (repr((sol.beta, sol.p_s, sol.q_s, sol.p_loss, sol.f, sol.f1,
                   sol.f2, sol.f3, sol.f4, sol.status, sol.evals,
                   sol.message)),
             None if pf is None else (pf.v.tobytes(), pf.theta.tobytes(),
-                                     pf.iterations, pf.max_residual))
+                                     pf.flows.tobytes(),
+                                     repr((pf.p_s, pf.q_s, pf.p_loss,
+                                           pf.iterations, pf.max_residual))),
+            None if report is None else (report.values.tobytes(),
+                                         report.margins.tobytes()))
 
 
 def test_rejected_incumbent_changes_nothing(net41, horizon1):
@@ -394,7 +419,7 @@ def test_rejected_incumbent_changes_nothing(net41, horizon1):
     # inside the row's box
     wider = row.with_wind({2: 3.8, 16: 8.55})
     ok = (wider, solve_opf(net41, wider))
-    reused = solve_opf(net41, row, incumbent=ok)
+    reused = solve_opf(net41, row, incumbent=Incumbent.of(net41, *ok))
     assert reused.evals == 0 and "reused" in reused.message
     assert reused.status == STATUS_OPTIMAL
     narrower = row.with_wind({2: 3.8, 16: 6.0})
@@ -422,13 +447,18 @@ def test_rejected_incumbent_changes_nothing(net41, horizon1):
         (replace(wider, price_p=2.0), ok[1]),
         (replace(wider, price_q=0.5), ok[1]),
     ]
-    for incumbent in rejected:
+    for inp_a, sol_a in rejected:
+        incumbent = Incumbent.of(net41, inp_a, sol_a)
         assert (solution_key(solve_opf(net41, row, incumbent=incumbent))
                 == solution_key(plain))
+    # a solution that is not optimal, or breaks a limit, makes no record
+    assert Incumbent.of(net41, *rejected[2]) is None
+    assert Incumbent.of(net41, *rejected[5]) is None
     # zero prices: the degenerate beta = 1 branch is never reused, even
     # from an incumbent that would otherwise qualify
     row0 = replace(row, price_p=0.0, price_q=0.0)
-    assert (solution_key(solve_opf(net41, row0, incumbent=(unpriced, ok[1])))
+    assert (solution_key(solve_opf(
+        net41, row0, incumbent=Incumbent.of(net41, unpriced, ok[1])))
             == solution_key(solve_opf(net41, row0)))
 
 
@@ -437,8 +467,8 @@ def test_reuse_keeps_beta_at_a_station_without_wind(net41, horizon1):
     # the row keeps the incumbent's beta (0) rather than dividing 0 by 0
     row = horizon1.with_wind({2: 3.8, 16: 0.0})
     own = solve_opf(net41, row)
-    incumbent = (row.with_wind({2: 3.8, 16: 2.0}),
-                 replace(own, beta=(own.beta[0], 0.0)))
+    incumbent = Incumbent.of(net41, row.with_wind({2: 3.8, 16: 2.0}),
+                             replace(own, beta=(own.beta[0], 0.0)))
     sol = solve_opf(net41, row, incumbent=incumbent)
     assert sol.evals == 0 and "reused" in sol.message
     assert sol.beta == (own.beta[0], 0.0)
@@ -470,7 +500,7 @@ def test_reused_rows_hold_their_incumbents_optimum(net41, horizon1,
         if sol.evals > 0 or sol.status != STATUS_OPTIMAL:
             continue
         reused += 1
-        inp_a, sol_a = incumbent
+        inp_a, sol_a = incumbent.inp, incumbent.sol
         assert sol.report.ok
         assert abs(sol.p_s) <= opf.TOL_CONS
         for k, b in enumerate(buses):
@@ -482,6 +512,71 @@ def test_reused_rows_hold_their_incumbents_optimum(net41, horizon1,
         own = real(net41, inp)
         assert sol.f >= own.f - 1e-5 * max(1.0, abs(own.f))
     assert reused >= 100
+
+
+def reference_reuse(net, inp, inp_a, sol_a):
+    """Row ``inp`` taking the optimum of row A = (``inp_a``, ``sol_a``) by
+    the evaluator's arithmetic, every step from A alone redone: A's state
+    from ``start_state``, the row's (1, n) injection from ``injections``,
+    ``power_mismatch``, beta by ``np.where`` and ``np.clip``, and the power
+    flow by ``replace``."""
+    ev = _Evaluator(net, inp)
+    w_a, w_b = opf._wind(net, inp_a), ev.wind
+    beta_a = np.array(sol_a.beta)
+    p_a = beta_a * w_a
+    assert np.all(w_b <= w_a) and np.all(p_a <= w_b)
+    keep = (w_b == w_a) | (w_b == 0)
+    beta = np.where(keep, beta_a, np.clip(
+        p_a / np.where(keep, 1.0, w_b), 0.0, 1.0))
+    p, _, injected = powerflow.injections(net, ev.demand, w_b, beta[None, :])
+    s_pu = p / net.base_mva + 1j * (-ev.demand.q_mvar / net.base_mva)
+    pf = sol_a.power_flow
+    _, res = powerflow.power_mismatch(
+        net.Y[1:], s_pu[:, 1:], powerflow.start_state(net, (pf.v, pf.theta)))
+    assert res[0] <= opf.PF_TOL
+    p_loss = pf.p_s + float(p[0, 1:].sum())
+    f, f1, f2, f3, f4 = powerflow.objective(
+        inp.price_p, inp.price_q, float(injected[0]), p_loss, pf.p_s, pf.q_s)
+    return OPFSolution(
+        beta=tuple(float(x) for x in beta), p_s=pf.p_s, q_s=pf.q_s,
+        p_loss=p_loss, f=f, f1=f1, f2=f2, f3=f3, f4=f4,
+        status=STATUS_OPTIMAL,
+        power_flow=replace(pf, iterations=0, max_residual=float(res[0])),
+        report=sol_a.report, evals=0,
+        message="optimum reused from an earlier row")
+
+
+def test_reuse_matches_the_reference_arithmetic_bitwise(net41, horizon1,
+                                                        monkeypatch):
+    # every reused row of the reference table and of 8 random tables, each
+    # field bitwise against ``reference_reuse`` from its incumbent's input
+    # and solution; and no incumbent record outlives the table build
+    solved, records = [], []
+    real, record = scenarios.solve_opf, Incumbent.of
+
+    def recorded(net, inp, opts=None, incumbent=None):
+        sol = real(net, inp, opts, incumbent=incumbent)
+        if sol.evals == 0 and sol.status == STATUS_OPTIMAL:
+            solved.append((inp, incumbent.inp, incumbent.sol, sol))
+        return sol
+
+    def weakly_recorded(net, inp, sol):
+        rec = record(net, inp, sol)
+        records.append(weakref.ref(rec))
+        return rec
+    monkeypatch.setattr(scenarios, "solve_opf", recorded)
+    monkeypatch.setattr(Incumbent, "of", staticmethod(weakly_recorded))
+    buses = [s.bus for s in net41.stations]
+    rated = [s.rated_power for s in net41.stations]
+    for inp in [horizon1, *random_horizons(horizon1, net41, 8)]:
+        levels = make_levels([inp.wind_available[b] for b in buses], None,
+                             rated)
+        build_lookup_table(net41, inp, enumerate_scenarios(levels), levels)
+        assert records and all(r() is None for r in records)
+    assert len(solved) >= 250
+    for inp, inp_a, sol_a, sol in solved:
+        assert solution_key(sol) == solution_key(
+            reference_reuse(net41, inp, inp_a, sol_a))
 
 
 def mismatch_pu(net, inp, beta, pf):
@@ -533,7 +628,8 @@ def test_reported_arrays_are_read_only_copies(net41, horizon1):
     row = horizon1.with_wind({2: 3.8, 16: 7.05})
     wider = row.with_wind({2: 3.8, 16: 8.55})
     searched = solve_opf(net41, wider)
-    reused = solve_opf(net41, row, incumbent=(wider, searched))
+    reused = solve_opf(net41, row,
+                       incumbent=Incumbent.of(net41, wider, searched))
     assert reused.evals == 0 and "reused" in reused.message
     for sol in (searched, reused, solve_opf(net41, row)):
         pf, report = sol.power_flow, sol.report
