@@ -179,12 +179,13 @@ class _Evaluator:
     results, from which ``solution`` reports the point.
     """
 
-    def __init__(self, net: Network, inp: HorizonInput):
+    def __init__(self, net: Network, inp: HorizonInput, wind: np.ndarray):
+        # ``wind`` is ``_wind(net, inp)``, which the caller has at hand
         self.net = net
         self.inp = inp
         self.demand = InjectionSpec.from_mappings(net, inp.demand_p,
                                                   inp.demand_q)
-        self.wind = _wind(net, inp)
+        self.wind = wind
         self._q_pu = -self.demand.q_mvar / net.base_mva
         self.evals = 0
         self._warm = start_state(net)[0]
@@ -272,32 +273,29 @@ def _wind(net: Network, inp: HorizonInput) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Incumbent:
-    """An optimal row A with what ``_reuse`` needs of it that does not
-    depend on the row B it is offered to, computed once: A's wind and
-    injection P_A = beta_A * w_A per station, its demand per bus, and the
-    power its state draws (``drawn_power``). Build it with ``of``."""
+    """A row A with what ``_reuse`` needs of it that does not depend on
+    the row B it is offered to, computed once: A's wind and injection
+    P_A = beta_A * w_A per station, its demand per bus, and the power its
+    state draws (``drawn_power``). Build it with ``of``; ``_reuse`` checks
+    that A is optimal with every limit held."""
     inp: HorizonInput
     sol: OPFSolution
     wind: tuple[float, ...]   # MW per station
     p: tuple[float, ...]      # P_A, MW per station
-    neg_p: np.ndarray         # minus the demand per bus, MW
+    demand: InjectionSpec
     jq: np.ndarray            # 1j times minus the demand per bus (pu),
     drawn: np.ndarray         # and the drawn power, at the non-slack buses
 
     @staticmethod
-    def of(net: Network, inp: HorizonInput,
-           sol: OPFSolution) -> "Incumbent | None":
-        """The record of row ``inp`` solved as ``sol``; None unless ``sol``
-        is optimal with every limit held, which any reuse requires."""
-        if sol.status != STATUS_OPTIMAL or not sol.report.ok:
-            return None
+    def of(net: Network, inp: HorizonInput, sol: OPFSolution) -> "Incumbent":
+        """The record of row ``inp`` solved as ``sol``, which must carry a
+        power flow."""
         demand = InjectionSpec.from_mappings(net, inp.demand_p, inp.demand_q)
         wind = _wind(net, inp).tolist()
         pf = sol.power_flow
         return Incumbent(
             inp=inp, sol=sol, wind=tuple(wind),
-            p=tuple(b * w for b, w in zip(sol.beta, wind)),
-            neg_p=-demand.p_mw,
+            p=tuple(b * w for b, w in zip(sol.beta, wind)), demand=demand,
             jq=(1j * (-demand.q_mvar / net.base_mva))[1:],
             drawn=drawn_power(net.Y[1:],
                               start_state(net, (pf.v, pf.theta)))[0])
@@ -441,15 +439,18 @@ def _reuse(net: Network, inp: HorizonInput, wind: np.ndarray,
     P_A / w_B. A's state must solve B's own injection: its largest P or Q
     mismatch there is at most PF_TOL, the test with which a power flow
     started from that state would stop at once. B then keeps A's state,
-    slack power, flows and constraint report (``Incumbent.of`` requires it
-    ok), reports 0 iterations and that mismatch, and takes its losses and
+    slack power, flows and constraint report (A's must hold every limit),
+    reports 0 iterations and that mismatch, and takes its losses and
     objective terms from its own injection. Nothing is solved.
 
     Only the steps that depend on B run here, each with the arithmetic of
     the evaluator's own: the box tests and beta on floats, B's injection
-    from A's demand, and the mismatch against A's drawn power.
+    (``injections``) from A's demand, and the mismatch against A's drawn
+    power.
     """
     a = incumbent
+    if a.sol.status != STATUS_OPTIMAL or not a.sol.report.ok:
+        return None
     if ((inp.demand_p, inp.demand_q, inp.price_p, inp.price_q)
             != (a.inp.demand_p, a.inp.demand_q, a.inp.price_p,
                 a.inp.price_q)):
@@ -460,9 +461,7 @@ def _reuse(net: Network, inp: HorizonInput, wind: np.ndarray,
             return None
         beta.append(b_a if w_b == w_a or w_b == 0
                     else min(max(p_a / w_b, 0.0), 1.0))
-    w = np.multiply(beta, wind)
-    p = a.neg_p.copy()
-    p[net.station_index] += w
+    p, _, injected = injections(net, a.demand, wind, beta)
     ds = p[1:] / net.base_mva + a.jq - a.drawn
     res = float(np.abs(ds.view(float)).max(initial=0.0))
     if not res <= PF_TOL:
@@ -470,7 +469,7 @@ def _reuse(net: Network, inp: HorizonInput, wind: np.ndarray,
     pf = a.sol.power_flow
     # the slack covers demand minus wind plus losses (``slack_power``)
     p_loss = pf.p_s + float(p[1:].sum())
-    f, f1, f2, f3, f4 = objective(inp.price_p, inp.price_q, float(w.sum()),
+    f, f1, f2, f3, f4 = objective(inp.price_p, inp.price_q, float(injected),
                                   p_loss, pf.p_s, pf.q_s)
     return OPFSolution(
         beta=tuple(beta), p_s=pf.p_s, q_s=pf.q_s,
@@ -513,7 +512,7 @@ def solve_opf(net: Network, inp: HorizonInput,
         reused = _reuse(net, inp, wind, incumbent)
         if reused is not None:
             return reused
-    ev = _Evaluator(net, inp)
+    ev = _Evaluator(net, inp, wind)
     nst = len(net.stations)
     ones = np.ones(nst)
     if degenerate:
@@ -573,7 +572,7 @@ def oracle_opf(net: Network, inp: HorizonInput,
     nst = len(net.stations)
     if nst > 3:
         raise ValueError("oracle grid is only tractable for <= 3 stations")
-    ev = _Evaluator(net, inp)
+    ev = _Evaluator(net, inp, _wind(net, inp))
     lo = np.zeros(nst)
     hi = np.ones(nst)
     best_x, best_e = None, _FAILED_EVAL
