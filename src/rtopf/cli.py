@@ -24,8 +24,8 @@ from .opf import (HorizonInput, OPFSolution, STATUS_INFEASIBLE,
                   STATUS_OPTIMAL, oracle_opf, solve_opf)
 from .profiles import (ProfileError, ProfileGenConfig, gen_day_profiles,
                        load_profiles, save_profiles)
-from .realtime import (DEFAULT_PRICE_P, DEFAULT_PRICE_Q, TimingConfig,
-                       run_day, summary_to_text, trace_to_csv)
+from .realtime import (DEFAULT_PRICE_P, DEFAULT_PRICE_Q, run_day,
+                       summary_to_text, trace_to_csv)
 from .scenarios import (DEFAULT_DEADLINE_S, build_lookup_table,
                         enumerate_scenarios, make_levels, table_to_csv)
 
@@ -176,7 +176,6 @@ def _cmd_simulate(args) -> int:
         base = _load_hours(None, "hourly_wind_base.json", "hourly_base_mw")
         profiles = gen_day_profiles(net, shape, base,
                                     ProfileGenConfig(seed=args.seed))
-    timing = TimingConfig(compute_budget=args.deadline)
 
     sink = None
     if args.tables_dir:
@@ -188,7 +187,7 @@ def _cmd_simulate(args) -> int:
             (tdir / f"table_{table.horizon_id:04d}.csv").write_text(
                 table_to_csv(table, buses))
 
-    run = run_day(net, profiles, timing=timing,
+    run = run_day(net, profiles, deadline=args.deadline,
                   workers=args.workers,
                   price_p=args.price_p, price_q=args.price_q,
                   n_horizons=args.horizons,

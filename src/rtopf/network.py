@@ -51,8 +51,7 @@ class Branch:
 @dataclass(frozen=True)
 class WindStation:
     bus: int
-    rated_power: float  # MW
-    power_factor: float = 1.0  # fixed unity
+    rated_power: float  # MW, injected at unity power factor
 
 
 @dataclass(frozen=True)
@@ -230,7 +229,7 @@ _META_FIELDS = {"base_mva", "base_kv", "s_s_max"}
 _BUS_FIELDS = {"id", "kind", "v_min", "v_max", "demand_peak_p", "demand_peak_q"}
 _BRANCH_FIELDS = {"from_bus", "to_bus", "resistance", "reactance",
                   "shunt_susceptance_total", "s_l_max"}
-_STATION_FIELDS = {"bus", "rated_power", "power_factor"}
+_STATION_FIELDS = {"bus", "rated_power"}
 
 
 def _check_fields(obj: Mapping[str, Any], allowed: set[str],
@@ -301,7 +300,6 @@ def network_from_dict(data: Mapping[str, Any]) -> Network:
         stations.append(WindStation(
             bus=int(_num(raw, "bus", where)),
             rated_power=_num(raw, "rated_power", where),
-            power_factor=_num(raw, "power_factor", where, 1.0),
         ))
 
     net = Network(
@@ -330,8 +328,7 @@ def network_to_dict(net: Network) -> dict[str, Any]:
              "s_l_max": br.s_l_max}
             for br in net.branches],
         "stations": [
-            {"bus": s.bus, "rated_power": s.rated_power,
-             "power_factor": s.power_factor}
+            {"bus": s.bus, "rated_power": s.rated_power}
             for s in net.stations],
     }
 

@@ -477,7 +477,7 @@ def _reuse(net: Network, inp: HorizonInput, wind: np.ndarray,
         status=STATUS_OPTIMAL,
         power_flow=PowerFlowSolution(
             v=pf.v, theta=pf.theta, p_s=pf.p_s, q_s=pf.q_s,
-            p_loss=pf.p_loss, flows=pf.flows, iterations=0,
+            p_loss=p_loss, flows=pf.flows, iterations=0,
             max_residual=res),
         report=a.sol.report, evals=0,
         message="optimum reused from an earlier row")

@@ -19,6 +19,8 @@ import numpy as np
 
 from .network import Network
 
+HORIZON_S = 120.0         # prediction horizon, one slot
+UPDATE_S = 20.0           # update interval
 SLOTS_PER_DAY = 720       # 120 s horizons
 UPDATES_PER_DAY = 4320    # 20 s intervals
 UPDATES_PER_SLOT = 6

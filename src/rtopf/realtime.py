@@ -2,6 +2,11 @@
 20 s select the scenario covering the actual wind and realize its
 curtailment factors against the live network state.
 
+The clock is the paper's and the profiles': a ``HORIZON_S`` horizon of
+``UPDATES_PER_SLOT`` updates of ``UPDATE_S`` each, so each update is
+prorated a sixth of the horizon's prices. Only the build budget
+(``deadline``, 112 s by default) can be set.
+
 Scenario selection takes, per station, the smallest level that still covers
 the observed wind (clamping to the highest level when the observation falls
 outside the grid), which keeps the realized injection at or below the
@@ -22,37 +27,16 @@ from .network import Network
 from .opf import HorizonInput, OPFOptions, STATUS_OPTIMAL
 from .powerflow import (InjectionSpec, PowerFlowError, PowerFlowSolution,
                         check_limits, evaluate_point)
-from .profiles import (DayProfiles, SLOTS_PER_DAY, UPDATES_PER_SLOT,
-                       validate_profiles)
-from .scenarios import (DEFAULT_DEADLINE_S, LevelWidths, LookupTable,
-                        WindLevels, build_lookup_table, enumerate_scenarios,
-                        make_levels, scenario_index)
+from .profiles import (DayProfiles, HORIZON_S, SLOTS_PER_DAY, UPDATE_S,
+                       UPDATES_PER_SLOT, validate_profiles)
+from .scenarios import (DEFAULT_DEADLINE_S, LookupTable, WindLevels,
+                        build_lookup_table, enumerate_scenarios, make_levels,
+                        scenario_index)
 
 log = logging.getLogger(__name__)
 
 DEFAULT_PRICE_P = 1.67  # $/MW per horizon
 DEFAULT_PRICE_Q = 0.4   # $/Mvar per horizon
-
-
-@dataclass(frozen=True)
-class TimingConfig:
-    horizon: float = 120.0  # s
-    update: float = 20.0    # s
-    compute_budget: float = DEFAULT_DEADLINE_S  # s reserved for the build
-
-    def __post_init__(self):
-        if self.horizon <= 0 or self.update <= 0:
-            raise ValueError("horizon and update must be positive")
-        ratio = self.horizon / self.update
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("horizon must be an integer multiple of update")
-        if not 0 < self.compute_budget < self.horizon:
-            raise ValueError("compute_budget must be positive and below "
-                             "the horizon")
-
-    @property
-    def updates_per_horizon(self) -> int:
-        return int(round(self.horizon / self.update))
 
 
 @dataclass(frozen=True)
@@ -73,11 +57,8 @@ class TraceRecord:
     clamped: bool
     stale_table: bool
     failed: bool
-    planned_p_s: float    # selected row
     forecast_p_s: float   # forecast (all-M) row
-    forecast_q_s: float
     forecast_f: float
-    forecast_beta: tuple[float, ...]
     realized_p_s: float = float("nan")
     realized_q_s: float = float("nan")
     realized_p_loss: float = float("nan")
@@ -143,12 +124,11 @@ def apply_and_realize(net: Network,
                       beta: Sequence[float],
                       price_p: float = DEFAULT_PRICE_P,
                       price_q: float = DEFAULT_PRICE_Q,
-                      timing: TimingConfig = TimingConfig(),
                       y: np.ndarray | None = None,
                       start=None):
     """Power flow at the realized injection beta*actual and the objective
-    components prorated to one update interval."""
-    frac = timing.update / timing.horizon
+    components prorated to one update interval (UPDATE_S / HORIZON_S)."""
+    frac = UPDATE_S / HORIZON_S
     demand = InjectionSpec.from_mappings(net, demand_p, demand_q)
     pf, terms = evaluate_point(net, demand, actual, beta, price_p * frac,
                                price_q * frac, y=y, start=start)
@@ -156,8 +136,7 @@ def apply_and_realize(net: Network,
 
 
 def run_day(net: Network, profiles: DayProfiles,
-            timing: TimingConfig = TimingConfig(),
-            widths: Sequence[LevelWidths] | LevelWidths | None = None,
+            deadline: float = DEFAULT_DEADLINE_S,
             workers: int = 1,
             price_p: float = DEFAULT_PRICE_P,
             price_q: float = DEFAULT_PRICE_Q,
@@ -168,21 +147,21 @@ def run_day(net: Network, profiles: DayProfiles,
     """Simulate the prediction-updating loop over (part of) one day.
 
     The clock is logical: horizon h uses demand/forecast slot h and actual
-    slots 6h..6h+5. Wall-clock build durations are recorded per horizon;
-    with ``enforce_deadline`` a budget overrun falls back to the previous
-    horizon's table (stale-table policy), otherwise the overrun is only
-    counted. The first horizon has no previous table: its overrun is logged
-    and its late table used. ``n_horizons`` must lie in 1..SLOTS_PER_DAY,
-    and the timing must hold UPDATES_PER_SLOT updates a horizon, the
-    profiles' resolution; otherwise ValueError, before any table is built.
+    slots 6h..6h+5. Each table is built with the default level widths and
+    a budget of ``deadline`` seconds. Wall-clock build durations are
+    recorded per horizon; with ``enforce_deadline`` a budget overrun falls
+    back to the previous horizon's table (stale-table policy), otherwise the
+    overrun is only counted. The first horizon has no previous table: its
+    overrun is logged and its late table used. ``deadline`` must lie
+    strictly between 0 and HORIZON_S, and ``n_horizons`` in
+    1..SLOTS_PER_DAY; otherwise ValueError, before any table is built.
     """
+    if not 0 < deadline < HORIZON_S:
+        raise ValueError(f"deadline must be positive and below the "
+                         f"{HORIZON_S:g} s horizon, got {deadline}")
     validate_profiles(profiles, net)
     station_buses = [s.bus for s in net.stations]
     rated = [s.rated_power for s in net.stations]
-    upd = timing.updates_per_horizon
-    if upd != UPDATES_PER_SLOT:
-        raise ValueError(f"{upd} updates per horizon; the profiles hold "
-                         f"{UPDATES_PER_SLOT} per slot")
     total = SLOTS_PER_DAY if n_horizons is None else n_horizons
     if not 1 <= total <= SLOTS_PER_DAY:
         raise ValueError(f"horizons must lie in 1..{SLOTS_PER_DAY}, "
@@ -198,14 +177,14 @@ def run_day(net: Network, profiles: DayProfiles,
         demand_p = {b: float(arr[h]) for b, arr in profiles.demand_p.items()}
         demand_q = {b: float(arr[h]) for b, arr in profiles.demand_q.items()}
         forecast = [float(profiles.wind_forecast[b][h]) for b in station_buses]
-        levels = make_levels(forecast, widths, rated)
+        levels = make_levels(forecast, None, rated)
         scenarios = enumerate_scenarios(levels)
         inp = HorizonInput(demand_p=demand_p, demand_q=demand_q,
                            wind_available=dict(zip(station_buses, forecast)),
                            price_p=price_p, price_q=price_q)
         table = build_lookup_table(net, inp, scenarios, levels,
                                    workers=workers,
-                                   deadline=timing.compute_budget,
+                                   deadline=deadline,
                                    opts=opts, horizon_id=h)
         summary.max_build_duration = max(summary.max_build_duration,
                                          table.build_duration)
@@ -231,9 +210,8 @@ def run_day(net: Network, profiles: DayProfiles,
         prev_table = table
 
         fc_sc, fc_sol = table.row(scenario_index(forecast_pos))
-        frac = timing.update / timing.horizon
-        for u in range(upd):
-            uid = h * upd + u
+        for u in range(UPDATES_PER_SLOT):
+            uid = h * UPDATES_PER_SLOT + u
             actual = tuple(float(profiles.wind_actual[b][uid])
                            for b in station_buses)
             positions, clamped = select_positions(table.levels, actual)
@@ -253,7 +231,7 @@ def run_day(net: Network, profiles: DayProfiles,
                 try:
                     pf, comps = apply_and_realize(
                         net, demand_p, demand_q, actual, beta,
-                        price_p, price_q, timing, start=warm)
+                        price_p, price_q, start=warm)
                     warm = (pf.v, pf.theta)
                     violations = len(check_limits(net, pf).violations)
                 except PowerFlowError as exc:
@@ -271,10 +249,8 @@ def run_day(net: Network, profiles: DayProfiles,
                 violations=violations,
                 table_build_duration=table.build_duration,
                 clamped=clamped, stale_table=stale, failed=failed,
-                planned_p_s=row_sol.p_s,
-                forecast_p_s=fc_sol.p_s, forecast_q_s=fc_sol.q_s,
-                forecast_f=fc_sol.f * frac,
-                forecast_beta=fc_sol.beta,
+                forecast_p_s=fc_sol.p_s,
+                forecast_f=fc_sol.f * (UPDATE_S / HORIZON_S),
                 realized_p_s=pf.p_s if pf else float("nan"),
                 realized_q_s=pf.q_s if pf else float("nan"),
                 realized_p_loss=pf.p_loss if pf else float("nan")))

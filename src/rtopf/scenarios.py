@@ -1,7 +1,8 @@
 """Wind-power levels, the per-horizon scenario grid, and the lookup table.
 
 Around each station's forecast, three higher and three lower levels are laid
-out with widths in the fixed ratio 1 : 2 : 3 (narrowest to widest). One level
+out at half-widths dp1, 2*dp1 and 3*dp1, the paper's fixed ratio 1 : 2 : 3;
+by default the widest is 15% of the station's rated power. One level
 choice per station defines a scenario; for two stations that gives the
 49-row lookup table, ordered with station 1 outermost and levels listed from
 highest to lowest wind.
@@ -39,32 +40,6 @@ DEFAULT_WIDTH_FRACTION = 0.15  # dp3 as a fraction of rated power
 
 
 @dataclass(frozen=True)
-class LevelWidths:
-    """Per-station level half-widths in MW; dp3 = 1.5*dp2 = 3*dp1 exactly."""
-    dp1: float
-    dp2: float
-    dp3: float
-
-    def __post_init__(self):
-        if self.dp1 <= 0:
-            raise ValueError("dp1 must be positive")
-        if self.dp2 != 2.0 * self.dp1 or self.dp3 != 3.0 * self.dp1:
-            raise ValueError(
-                "level widths must satisfy dp3 = 1.5*dp2 = 3*dp1 exactly")
-
-    @staticmethod
-    def from_dp1(dp1: float) -> "LevelWidths":
-        # dp2 = 2*dp1 is exact; dp3 = 3*dp1 and 1.5*(2*dp1) round identically
-        return LevelWidths(dp1=dp1, dp2=2.0 * dp1, dp3=3.0 * dp1)
-
-    @staticmethod
-    def from_rated(rated_power: float,
-                   fraction: float = DEFAULT_WIDTH_FRACTION) -> "LevelWidths":
-        """Widest level at ``fraction`` of rated power (default 15%)."""
-        return LevelWidths.from_dp1(fraction * rated_power / 3.0)
-
-
-@dataclass(frozen=True)
 class WindLevels:
     """Seven wind values per station, ordered [H3, H2, H1, M, L1, L2, L3]."""
     values: tuple[tuple[float, ...], ...]  # MW, one 7-tuple per station
@@ -93,43 +68,40 @@ class LookupTable:
         return self.rows[index - 1]
 
 
-def make_levels(forecast: Sequence[float],
-                widths: Sequence[LevelWidths] | LevelWidths | None,
+def make_levels(forecast: Sequence[float], dp1: float | None,
                 rated: Sequence[float]) -> WindLevels:
     """Seven levels per station around the forecast, clamped to [0, rated].
 
-    ``widths`` may be one LevelWidths shared by all stations, a per-station
-    sequence, or None for the default (widest level = 15% of rated power).
+    The half-widths are dp1, 2*dp1 and 3*dp1, the ratio 1 : 2 : 3 (2*dp1 is
+    exact, and 3*dp1 rounds as 1.5*(2*dp1) does). ``dp1`` is one width in
+    MW shared by all stations, or None for the default: each station's
+    widest level at 15% of its rated power. A width that is not a positive
+    finite number raises ValueError.
     """
     nst = len(forecast)
     if len(rated) != nst:
         raise ValueError("forecast and rated must have equal length")
-    if widths is None:
-        wl = [LevelWidths.from_rated(r) for r in rated]
-    elif isinstance(widths, LevelWidths):
-        wl = [widths] * nst
-    else:
-        wl = list(widths)
-        if len(wl) != nst:
-            raise ValueError("one LevelWidths per station required")
-
     values = []
-    for m, w, r in zip(forecast, wl, rated):
+    for m, r in zip(forecast, rated):
         if not (0 <= m <= r):
             raise ValueError(f"forecast {m} outside [0, rated={r}]")
-        raw = (m + w.dp3, m + w.dp2, m + w.dp1, m,
-               m - w.dp1, m - w.dp2, m - w.dp3)
+        d1 = DEFAULT_WIDTH_FRACTION * r / 3.0 if dp1 is None else dp1
+        if not 0 < d1 < math.inf:
+            raise ValueError(f"level width dp1 must be a positive finite "
+                             f"number of MW, got {d1}")
+        d2, d3 = 2.0 * d1, 3.0 * d1
+        raw = (m + d3, m + d2, m + d1, m, m - d1, m - d2, m - d3)
         values.append(tuple(min(r, max(0.0, x)) for x in raw))
     return WindLevels(values=tuple(values))
 
 
-def scenario_index(positions: Sequence[int], n_levels: int = 7) -> int:
+def scenario_index(positions: Sequence[int]) -> int:
     """1-based row index from 1-based per-station level positions."""
     idx = 0
     for p in positions:
-        if not 1 <= p <= n_levels:
+        if not 1 <= p <= 7:
             raise ValueError(f"level position {p} out of range")
-        idx = idx * n_levels + (p - 1)
+        idx = idx * 7 + (p - 1)
     return idx + 1
 
 

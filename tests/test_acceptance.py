@@ -16,9 +16,8 @@ from rtopf.opf import (FAST_OPTS, HorizonInput, STATUS_OPTIMAL, oracle_opf,
 from rtopf.powerflow import InjectionSpec, solve_power_flow
 from rtopf.profiles import ProfileGenConfig, gen_day_profiles
 from rtopf.realtime import run_day
-from rtopf.scenarios import (LevelWidths, build_lookup_table,
-                             enumerate_scenarios, make_levels, scenario_index,
-                             table_to_csv)
+from rtopf.scenarios import (build_lookup_table, enumerate_scenarios,
+                             make_levels, scenario_index, table_to_csv)
 
 from conftest import DATA, load_horizon1, random_radial_net
 from oracles import gauss_seidel_power_flow
@@ -85,10 +84,9 @@ def test_criterion_2_level_ratio_law_exact():
     rated = 16.0
     for _ in range(1000):
         dp1 = float(rng.integers(1, 256)) / 1024.0
-        w = LevelWidths.from_dp1(dp1)
         lo = int(np.ceil(3 * dp1 * 1024))
         m = float(rng.integers(lo, int(rated * 1024) - lo + 1)) / 1024.0
-        (h3, h2, h1, mid, l1, l2, l3), = make_levels([m], w, [rated]).values
+        (h3, h2, h1, mid, l1, l2, l3), = make_levels([m], dp1, [rated]).values
         assert mid == m
         assert h3 - mid == 1.5 * (h2 - mid) == 3.0 * (h1 - mid)
         assert mid - l3 == 1.5 * (mid - l2) == 3.0 * (mid - l1)

@@ -167,7 +167,8 @@ def test_deadline_must_be_a_positive_finite_number(capsys):
         err = capsys.readouterr().err
         assert "deadline must be a positive finite number" in err
         assert "built" not in err
-    for value in ("-1", "0", "nan"):
+    for value in ("-1", "0", "nan", "120", "130"):
         assert main(["simulate", "--horizons", "2", "--deadline", value,
                      "--out", "/dev/null"]) == 3
-        assert "compute_budget must be positive" in capsys.readouterr().err
+        assert ("deadline must be positive and below the 120 s horizon"
+                in capsys.readouterr().err)

@@ -1,11 +1,12 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtopf.cli import main
 from rtopf.network import (Branch, Bus, CaseFileError, Network,
                            NetworkValidationError, WindStation,
                            build_admittance, load_network, network_from_dict,
@@ -213,4 +214,17 @@ def test_bundled_case_file_matches_schema():
 
 def test_station_dataclass_defaults():
     st = WindStation(bus=2, rated_power=10.0)
-    assert st.power_factor == 1.0
+    assert [f.name for f in fields(st)] == ["bus", "rated_power"]
+
+
+def test_station_power_factor_is_an_unknown_field(tmp_path):
+    # wind runs at unity power factor, so a case file may not name another
+    case = minimal_case()
+    case["stations"][0]["power_factor"] = 0.9
+    with pytest.raises(CaseFileError, match=r"stations\[0\]: unknown field"):
+        network_from_dict(case)
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    assert main(["solve-opf", "--case", str(path), "--out", "/dev/null"]) == 3
+    assert "power_factor" not in json.dumps(
+        network_to_dict(network_from_dict(minimal_case())))

@@ -543,7 +543,8 @@ def reference_reuse(net, inp, inp_a, sol_a):
         beta=tuple(float(x) for x in beta), p_s=pf.p_s, q_s=pf.q_s,
         p_loss=p_loss, f=f, f1=f1, f2=f2, f3=f3, f4=f4,
         status=STATUS_OPTIMAL,
-        power_flow=replace(pf, iterations=0, max_residual=float(res[0])),
+        power_flow=replace(pf, p_loss=p_loss, iterations=0,
+                           max_residual=float(res[0])),
         report=sol_a.report, evals=0,
         message="optimum reused from an earlier row")
 
@@ -619,6 +620,8 @@ def test_reported_rows_agree_with_an_independent_evaluation(net41, horizon1):
             for got, want in ((sol.p_s, pf.p_s), (sol.q_s, pf.q_s),
                               (sol.p_loss, pf.p_loss)):
                 assert got == pytest.approx(want, abs=1e-7)
+            # a row reports one loss: its power flow's is its own
+            assert sol.p_loss == sol.power_flow.p_loss
             assert (mismatch_pu(net41, row, sol.beta, sol.power_flow)
                     <= 1.01 * opf.PF_TOL)
     assert checked >= 400

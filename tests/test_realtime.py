@@ -1,5 +1,6 @@
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,10 @@ from rtopf.opf import FAST_OPTS, HorizonInput, evaluate_objective
 from rtopf.powerflow import (DEFAULT_MAX_ITER, DEFAULT_TOL, InjectionSpec,
                              branch_flows, injections, slack_power,
                              start_state, zbus_iterate)
-from rtopf.profiles import (ProfileGenConfig, SLOTS_PER_DAY,
-                            UPDATES_PER_SLOT, gen_day_profiles)
-from rtopf.realtime import (TimingConfig, apply_and_realize, run_day,
-                            select_positions, select_scenario,
-                            summary_to_text, trace_to_csv)
+from rtopf.profiles import (HORIZON_S, ProfileGenConfig, SLOTS_PER_DAY,
+                            UPDATE_S, UPDATES_PER_SLOT, gen_day_profiles)
+from rtopf.realtime import (apply_and_realize, run_day, select_positions,
+                            select_scenario, summary_to_text, trace_to_csv)
 from rtopf.scenarios import (build_lookup_table, enumerate_scenarios,
                              make_levels)
 
@@ -23,18 +23,6 @@ from conftest import DATA, chain_net
 
 SHAPE = [0.7] * 24
 BASE = [3.0] * 24
-
-
-def test_timing_config_defaults_and_validation():
-    t = TimingConfig()
-    assert (t.horizon, t.update, t.compute_budget) == (120.0, 20.0, 112.0)
-    assert t.updates_per_horizon == 6
-    with pytest.raises(ValueError, match="integer multiple"):
-        TimingConfig(horizon=120.0, update=25.0)
-    with pytest.raises(ValueError, match="below the horizon"):
-        TimingConfig(horizon=120.0, update=20.0, compute_budget=130.0)
-    with pytest.raises(ValueError, match="positive"):
-        TimingConfig(horizon=-1.0)
 
 
 def test_select_positions_examples():
@@ -107,15 +95,17 @@ def test_apply_and_realize_prorates_to_one_update():
 
 
 def test_apply_and_realize_matches_evaluate_objective(net41, horizon1):
-    # with one update per horizon nothing is prorated, so the realized
-    # update and the OPF's single-point evaluation must agree bitwise
-    timing = TimingConfig(horizon=120.0, update=120.0, compute_budget=112.0)
+    # the realized update is the OPF's single-point evaluation at the
+    # prices of one update interval, bitwise
     beta = (1.0, 0.35)
     wind = tuple(horizon1.wind_available[b] for b in net41.station_buses)
     pf, comps = apply_and_realize(net41, horizon1.demand_p,
                                   horizon1.demand_q, wind, beta,
-                                  horizon1.price_p, horizon1.price_q, timing)
-    bd = evaluate_objective(net41, horizon1, beta)
+                                  horizon1.price_p, horizon1.price_q)
+    frac = UPDATE_S / HORIZON_S
+    prorated = replace(horizon1, price_p=horizon1.price_p * frac,
+                       price_q=horizon1.price_q * frac)
+    bd = evaluate_objective(net41, prorated, beta)
     assert pf.p_s == bd.power_flow.p_s
     assert (comps["f"], comps["f1"], comps["f2"], comps["f3"],
             comps["f4"]) == (bd.f, bd.f1, bd.f2, bd.f3, bd.f4)
@@ -210,9 +200,8 @@ def test_run_day_applies_conservative_injections():
 
 def test_run_day_stale_table_fallback(caplog):
     net, profiles = day_fixture()
-    timing = TimingConfig(compute_budget=1e-9)
     with caplog.at_level(logging.WARNING, logger="rtopf.realtime"):
-        run = run_day(net, profiles, timing=timing, opts=FAST_OPTS,
+        run = run_day(net, profiles, deadline=1e-9, opts=FAST_OPTS,
                       n_horizons=3, enforce_deadline=True)
     assert run.summary.deadline_overruns == 3
     # the first horizon has no previous table to fall back to
@@ -228,8 +217,7 @@ def test_run_day_stale_table_fallback(caplog):
 
 def test_run_day_without_enforcement_only_counts_overruns():
     net, profiles = day_fixture()
-    timing = TimingConfig(compute_budget=1e-9)
-    run = run_day(net, profiles, timing=timing, opts=FAST_OPTS, n_horizons=2)
+    run = run_day(net, profiles, deadline=1e-9, opts=FAST_OPTS, n_horizons=2)
     assert run.summary.deadline_overruns == 2
     assert run.summary.stale_tables == 0
 
@@ -241,6 +229,27 @@ def test_run_day_table_sink_receives_every_horizon():
             table_sink=seen.append)
     assert [t.horizon_id for t in seen] == [0, 1]
     assert all(t.n_rows == 7 for t in seen)
+
+
+def test_trace_header_and_summary_keys_are_pinned():
+    net, profiles = day_fixture(stations=(3, 4))
+    run = run_day(net, profiles, opts=FAST_OPTS, n_horizons=1)
+    header = trace_to_csv(run, [3, 4]).split("\n")[0].split(",")
+    assert header == [
+        "horizon_id", "update_id", "actual_wind_bus3", "actual_wind_bus4",
+        "selected_index", "applied_beta_bus3", "applied_beta_bus4",
+        "realized_p_s_mw", "realized_q_s_mvar", "realized_p_loss_mw",
+        "realized_f", "realized_f1", "realized_f2", "realized_f3",
+        "realized_f4", "violations", "clamped", "stale_table", "failed",
+        "table_build_duration_s", "forecast_p_s_mw", "forecast_f"]
+    lines = summary_to_text(run.summary).split("\n")
+    assert lines[0] == "rt-opf day summary" and lines[-1] == ""
+    assert [ln.split(": ")[0] for ln in lines[1:-1]] == [
+        "horizons", "updates", "total_f", "total_f1", "total_f2",
+        "total_f3", "total_f4", "violation_intervals",
+        "violation_intervals_clamped", "clamp_intervals",
+        "failed_intervals", "failed_rows", "stale_tables",
+        "deadline_overruns", "max_build_duration"]
 
 
 def test_trace_csv_and_summary_text():
@@ -260,8 +269,9 @@ def test_trace_csv_and_summary_text():
 
 
 def test_run_day_rejects_what_it_cannot_serve(monkeypatch):
-    # a horizon count outside the day, or a timing whose updates do not
-    # match the profiles' 20 s slots, fails before the first table
+    # a horizon count outside the day, or a build budget that is not a
+    # positive number of seconds below the horizon, fails before the first
+    # table
     net, profiles = day_fixture()
 
     def no_build(*args, **kwargs):
@@ -270,8 +280,8 @@ def test_run_day_rejects_what_it_cannot_serve(monkeypatch):
     for n in (0, -3, SLOTS_PER_DAY + 1, 100000):
         with pytest.raises(ValueError, match="horizons"):
             run_day(net, profiles, opts=FAST_OPTS, n_horizons=n)
-    for timing in (TimingConfig(update=10.0), TimingConfig(update=40.0)):
-        assert timing.updates_per_horizon != UPDATES_PER_SLOT
-        with pytest.raises(ValueError, match="updates per horizon"):
-            run_day(net, profiles, timing=timing, opts=FAST_OPTS,
+    for deadline in (HORIZON_S, 130.0, 0.0, -1.0, float("nan"),
+                     float("inf")):
+        with pytest.raises(ValueError, match="below the 120 s horizon"):
+            run_day(net, profiles, deadline=deadline, opts=FAST_OPTS,
                     n_horizons=1)

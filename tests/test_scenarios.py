@@ -9,26 +9,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtopf.opf import FAST_OPTS, HorizonInput, STATUS_OPTIMAL
-from rtopf.scenarios import (LEVEL_LABELS, LevelWidths, build_lookup_table,
-                             enumerate_scenarios, make_levels, scenario_index,
-                             scenario_label, table_to_csv)
+from rtopf.scenarios import (DEFAULT_WIDTH_FRACTION, LEVEL_LABELS,
+                             build_lookup_table, enumerate_scenarios,
+                             make_levels, scenario_index, scenario_label,
+                             table_to_csv)
 
 from conftest import chain_net
 
 
 def test_level_width_ratio_enforced():
-    w = LevelWidths.from_dp1(0.5)
-    assert (w.dp1, w.dp2, w.dp3) == (0.5, 1.0, 1.5)
-    with pytest.raises(ValueError, match="exactly"):
-        LevelWidths(dp1=0.5, dp2=1.0, dp3=1.4)
-    with pytest.raises(ValueError, match="positive"):
-        LevelWidths.from_dp1(0.0)
+    # one width dp1 sets all three: dp1, 2*dp1 and 3*dp1, for every station
+    levels = make_levels([5.0, 2.0], 0.5, [10.0, 20.0])
+    assert levels.values == ((6.5, 6.0, 5.5, 5.0, 4.5, 4.0, 3.5),
+                             (3.5, 3.0, 2.5, 2.0, 1.5, 1.0, 0.5))
 
 
 def test_default_widths_are_fifteen_percent_of_rated():
-    w = LevelWidths.from_rated(10.0)
-    assert w.dp3 == pytest.approx(1.5)
-    assert w.dp1 == pytest.approx(0.5)
+    (h3, h2, h1, m, l1, l2, l3), = make_levels([5.0], None, [10.0]).values
+    assert h3 - m == pytest.approx(1.5)
+    assert h1 - m == pytest.approx(0.5)
+    # each station's own rated power, by the same expression as a given dp1
+    rated = [10.0, 7.3]
+    assert make_levels([5.0, 3.0], None, rated).values == tuple(
+        make_levels([m], DEFAULT_WIDTH_FRACTION * r / 3.0, [r]).values[0]
+        for m, r in zip([5.0, 3.0], rated))
 
 
 def test_levels_around_forecast():
@@ -50,8 +54,9 @@ def test_make_levels_input_validation():
         make_levels([1.0], None, [10.0, 10.0])
     with pytest.raises(ValueError, match="outside"):
         make_levels([11.0], None, [10.0])
-    with pytest.raises(ValueError, match="per station"):
-        make_levels([1.0, 2.0], [LevelWidths.from_dp1(0.5)], [10.0, 10.0])
+    for dp1 in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive finite"):
+            make_levels([1.0, 2.0], dp1, [10.0, 10.0])
 
 
 def test_scenario_index_mixed_radix():
