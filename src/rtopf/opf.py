@@ -44,18 +44,18 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .network import Network
-from .powerflow import (DEFAULT_TOL, ConstraintReport, InjectionSpec,
-                        PowerFlowSolution, branch_flows, check_limits,
-                        drawn_power, evaluate_point, injections,
-                        limit_margins, objective, slack_power, start_state,
-                        zbus_iterate)
+from .powerflow import (DEFAULT_TOL, LIMIT_TOL, ConstraintReport,
+                        InjectionSpec, PowerFlowSolution, branch_flows,
+                        check_limits, drawn_power, evaluate_point,
+                        injections, limit_margins, objective, slack_power,
+                        start_state, zbus_iterate)
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_FAILURE = "solver_failure"
 
 TOL_OBJ = 1e-7          # minimum accepted search-step improvement
-TOL_CONS = 1e-6         # constraint-violation tolerance (MW, Mvar, pu, MVA)
+TOL_CONS = LIMIT_TOL    # constraint tolerance, shared with check_limits
 COARSE_GRID = 2         # seeding grid points per station
 POLISH_STEP = 0.25      # largest pattern-search step
 POLISH_STEP_MIN = 1e-2  # the poll halves the step down to this

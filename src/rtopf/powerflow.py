@@ -33,6 +33,7 @@ from .network import Network, zbus
 # p_s = -1.001e-6 MW, outside the 1e-6 MW tolerance of the bound p_s >= 0.
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50
+LIMIT_TOL = 1e-6  # constraint-violation tolerance (MW, Mvar, pu, MVA)
 
 
 class PowerFlowError(Exception):
@@ -407,7 +408,7 @@ class ConstraintReport:
 
 
 def check_limits(net: Network, sol: PowerFlowSolution,
-                 tol: float = 1e-6) -> ConstraintReport:
+                 tol: float = LIMIT_TOL) -> ConstraintReport:
     """Evaluate every operating constraint against the solved state.
 
     Covers the slack apparent/active/reactive bounds, PQ-bus voltage bands,

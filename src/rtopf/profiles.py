@@ -1,12 +1,15 @@
 """Synthetic demand and wind profiles for one simulated day.
 
-Demand follows a 24-value hourly shape scaled by per-bus peaks with
-per-slot multiplicative Gaussian noise. Wind forecasts start from a shared
-hourly base curve, randomized per station and hour within a uniform band,
-then perturbed per 120 s slot; actual wind adds a second uniform band around
-the forecast every 20 s. Every generator draws from its own seeded
-substream keyed by (purpose, bus/station), so adding a station never
-perturbs the other series.
+The day is ``HOURS`` hours of ``HORIZON_S`` horizons (slots), each of
+``UPDATES_PER_SLOT`` updates of ``UPDATE_S``; the slot and update counts
+derive from those three values. Demand follows a 24-value hourly shape
+scaled by per-bus peaks with per-slot multiplicative Gaussian noise
+(``SIGMA_D``). Wind forecasts start from a shared hourly base curve,
+randomized per station and hour within a uniform +-``HOURLY_BAND``, then
+perturbed per slot (``SIGMA_W``); actual wind adds a second uniform
++-``HOURLY_BAND`` around the forecast every update. Every generator draws
+from its own seeded substream keyed by (purpose, bus/station), so adding a
+station never perturbs the other series.
 """
 
 from __future__ import annotations
@@ -19,12 +22,16 @@ import numpy as np
 
 from .network import Network
 
+HOURS = 24
 HORIZON_S = 120.0         # prediction horizon, one slot
 UPDATE_S = 20.0           # update interval
-SLOTS_PER_DAY = 720       # 120 s horizons
-UPDATES_PER_DAY = 4320    # 20 s intervals
-UPDATES_PER_SLOT = 6
-HOURS = 24
+SLOTS_PER_DAY = int(HOURS * 3600 / HORIZON_S)        # 720
+UPDATES_PER_SLOT = int(HORIZON_S / UPDATE_S)         # 6
+UPDATES_PER_DAY = SLOTS_PER_DAY * UPDATES_PER_SLOT   # 4320
+
+SIGMA_D = 0.01       # demand noise, fraction of hourly value
+SIGMA_W = 0.1        # forecast wind noise, fraction of hourly value
+HOURLY_BAND = 0.15   # uniform +-band, per-hour wind and actual wind
 
 _STREAM_DEMAND_P = 0
 _STREAM_DEMAND_Q = 1
@@ -39,16 +46,8 @@ class ProfileError(Exception):
 
 @dataclass(frozen=True)
 class ProfileGenConfig:
-    mu_d: float = 0.0
-    sigma_d: float = 0.01      # demand noise, fraction of hourly value
-    mu_w: float = 0.0
-    sigma_w: float = 0.1       # forecast wind noise, fraction of hourly value
-    hourly_band: float = 0.15  # uniform +-band, per-hour wind and actual wind
+    """The generator's seed; the noise levels are the module constants."""
     seed: int = 0
-
-    def __post_init__(self):
-        if self.sigma_d < 0 or self.sigma_w < 0 or self.hourly_band < 0:
-            raise ValueError("noise parameters must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -60,8 +59,7 @@ class DayProfiles:
     meta: dict = field(default_factory=dict)
 
 
-def validate_profiles(profiles: DayProfiles,
-                      net: Network | None = None) -> DayProfiles:
+def validate_profiles(profiles: DayProfiles, net: Network) -> DayProfiles:
     for name, series, count in (("demand_p", profiles.demand_p, SLOTS_PER_DAY),
                                 ("demand_q", profiles.demand_q, SLOTS_PER_DAY),
                                 ("wind_forecast", profiles.wind_forecast,
@@ -74,16 +72,14 @@ def validate_profiles(profiles: DayProfiles,
                     f"{name}[{bus}]: expected {count} slots, got {arr.shape}")
             if np.any(arr < 0) or not np.all(np.isfinite(arr)):
                 raise ProfileError(f"{name}[{bus}]: negative or non-finite value")
-    if net is not None:
-        rated = {s.bus: s.rated_power for s in net.stations}
-        for name, series in (("wind_forecast", profiles.wind_forecast),
-                             ("wind_actual", profiles.wind_actual)):
-            if set(series) != set(rated):
-                raise ProfileError(f"{name}: station buses do not match case")
-            for bus, arr in series.items():
-                if np.any(arr > rated[bus] + 1e-9):
-                    raise ProfileError(
-                        f"{name}[{bus}]: value above rated power")
+    rated = {s.bus: s.rated_power for s in net.stations}
+    for name, series in (("wind_forecast", profiles.wind_forecast),
+                         ("wind_actual", profiles.wind_actual)):
+        if set(series) != set(rated):
+            raise ProfileError(f"{name}: station buses do not match case")
+        for bus, arr in series.items():
+            if np.any(arr > rated[bus] + 1e-9):
+                raise ProfileError(f"{name}[{bus}]: value above rated power")
     return profiles
 
 
@@ -111,15 +107,11 @@ def gen_demand(hourly_shape: Sequence[float],
     for bus in sorted(peaks_p):
         if peaks_p[bus] < 0 or peaks_q.get(bus, 0.0) < 0:
             raise ProfileError(f"negative demand peak at bus {bus}")
-        noise_p = _rng(cfg, _STREAM_DEMAND_P, bus).normal(
-            cfg.mu_d, cfg.sigma_d, SLOTS_PER_DAY) if cfg.sigma_d or cfg.mu_d \
-            else np.zeros(SLOTS_PER_DAY)
-        noise_q = _rng(cfg, _STREAM_DEMAND_Q, bus).normal(
-            cfg.mu_d, cfg.sigma_d, SLOTS_PER_DAY) if cfg.sigma_d or cfg.mu_d \
-            else np.zeros(SLOTS_PER_DAY)
-        demand_p[bus] = np.maximum(0.0, hourly * peaks_p[bus] * (1 + noise_p))
-        demand_q[bus] = np.maximum(0.0, hourly * peaks_q.get(bus, 0.0)
-                                   * (1 + noise_q))
+        for peaks, stream, out in ((peaks_p, _STREAM_DEMAND_P, demand_p),
+                                   (peaks_q, _STREAM_DEMAND_Q, demand_q)):
+            noise = _rng(cfg, stream, bus).normal(0.0, SIGMA_D, SLOTS_PER_DAY)
+            out[bus] = np.maximum(0.0, hourly * peaks.get(bus, 0.0)
+                                  * (1 + noise))
     return demand_p, demand_q
 
 
@@ -128,7 +120,7 @@ def gen_wind_forecast(base_hourly: Sequence[float], net: Network,
     """Per-station forecast at 120 s resolution.
 
     The shared base curve is randomized per station and hour within
-    +-hourly_band, then per-slot Gaussian noise (sigma_w) is applied;
+    +-HOURLY_BAND, then per-slot Gaussian noise (SIGMA_W) is applied;
     values are clamped to [0, rated].
     """
     base = np.asarray(base_hourly, dtype=float)
@@ -140,12 +132,10 @@ def gen_wind_forecast(base_hourly: Sequence[float], net: Network,
             raise ProfileError(
                 f"wind base outside [0, rated] for station at bus {st.bus}")
         hr_rng = _rng(cfg, _STREAM_WIND_HOURLY, st.bus)
-        hourly = base * (1 + hr_rng.uniform(-cfg.hourly_band,
-                                            cfg.hourly_band, HOURS))
+        hourly = base * (1 + hr_rng.uniform(-HOURLY_BAND, HOURLY_BAND, HOURS))
         per_slot = np.repeat(hourly, SLOTS_PER_DAY // HOURS)
         slot_rng = _rng(cfg, _STREAM_WIND_SLOT, st.bus)
-        noisy = per_slot * (1 + slot_rng.normal(cfg.mu_w, cfg.sigma_w,
-                                                SLOTS_PER_DAY))
+        noisy = per_slot * (1 + slot_rng.normal(0.0, SIGMA_W, SLOTS_PER_DAY))
         out[st.bus] = np.clip(noisy, 0.0, st.rated_power)
     return out
 
@@ -159,7 +149,7 @@ def gen_actual_wind(forecast: Mapping[int, np.ndarray], net: Network,
         parent = np.repeat(np.asarray(forecast[bus], dtype=float),
                            UPDATES_PER_SLOT)
         rng = _rng(cfg, _STREAM_WIND_ACTUAL, bus)
-        actual = parent * (1 + rng.uniform(-cfg.hourly_band, cfg.hourly_band,
+        actual = parent * (1 + rng.uniform(-HOURLY_BAND, HOURLY_BAND,
                                            parent.size))
         out[bus] = np.clip(actual, 0.0, rated.get(bus, np.inf))
     return out
@@ -169,18 +159,17 @@ def gen_day_profiles(net: Network, hourly_shape: Sequence[float],
                      wind_base_hourly: Sequence[float],
                      cfg: ProfileGenConfig) -> DayProfiles:
     """Full seeded bundle: demand, wind forecast, and actual wind."""
-    peaks_p = {b.id: b.demand_peak_p for b in net.buses
-               if b.demand_peak_p > 0 or b.demand_peak_q > 0}
-    peaks_q = {b.id: b.demand_peak_q for b in net.buses
-               if b.demand_peak_p > 0 or b.demand_peak_q > 0}
+    loads = [net.buses[net.index_of(b)] for b in net.demand_buses]
+    peaks_p = {b.id: b.demand_peak_p for b in loads}
+    peaks_q = {b.id: b.demand_peak_q for b in loads}
     demand_p, demand_q = gen_demand(hourly_shape, peaks_p, peaks_q, cfg)
     forecast = gen_wind_forecast(wind_base_hourly, net, cfg)
     actual = gen_actual_wind(forecast, net, cfg)
     profiles = DayProfiles(
         demand_p=demand_p, demand_q=demand_q,
         wind_forecast=forecast, wind_actual=actual,
-        meta={"seed": cfg.seed, "sigma_d": cfg.sigma_d,
-              "sigma_w": cfg.sigma_w, "hourly_band": cfg.hourly_band})
+        meta={"seed": cfg.seed, "sigma_d": SIGMA_D,
+              "sigma_w": SIGMA_W, "hourly_band": HOURLY_BAND})
     return validate_profiles(profiles, net)
 
 
@@ -219,7 +208,7 @@ def save_profiles(profiles: DayProfiles, path) -> None:
         fh.write("\n")
 
 
-def load_profiles(path, net: Network | None = None) -> DayProfiles:
+def load_profiles(path, net: Network) -> DayProfiles:
     try:
         with open(path) as fh:
             try:

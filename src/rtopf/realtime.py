@@ -11,6 +11,10 @@ Scenario selection takes, per station, the smallest level that still covers
 the observed wind (clamping to the highest level when the observation falls
 outside the grid), which keeps the realized injection at or below the
 planned one and preserves feasibility of the pre-solved operating point.
+
+Each update's trace record holds its realized power flow once
+(``TraceRecord.realized``, None when nothing was realized); the trace CSV
+reads the slack power and losses from it.
 """
 
 from __future__ import annotations
@@ -59,9 +63,6 @@ class TraceRecord:
     failed: bool
     forecast_p_s: float   # forecast (all-M) row
     forecast_f: float
-    realized_p_s: float = float("nan")
-    realized_q_s: float = float("nan")
-    realized_p_loss: float = float("nan")
 
 
 @dataclass
@@ -250,10 +251,7 @@ def run_day(net: Network, profiles: DayProfiles,
                 table_build_duration=table.build_duration,
                 clamped=clamped, stale_table=stale, failed=failed,
                 forecast_p_s=fc_sol.p_s,
-                forecast_f=fc_sol.f * (UPDATE_S / HORIZON_S),
-                realized_p_s=pf.p_s if pf else float("nan"),
-                realized_q_s=pf.q_s if pf else float("nan"),
-                realized_p_loss=pf.p_loss if pf else float("nan")))
+                forecast_f=fc_sol.f * (UPDATE_S / HORIZON_S)))
             summary.updates += 1
             if failed:
                 summary.failed_intervals += 1
@@ -285,14 +283,17 @@ def trace_to_csv(run: DayRun, station_buses: Sequence[int]) -> str:
            "realized_f", "realized_f1", "realized_f2", "realized_f3",
            "realized_f4", "violations", "clamped", "stale_table", "failed",
            "table_build_duration_s", "forecast_p_s_mw", "forecast_f"])
+    nan = float("nan")
     for r in run.records:
+        pf = r.realized
         wr.writerow(
             [r.horizon_id, r.update_id]
             + [repr(w) for w in r.actual_wind]
             + [r.selected_index]
             + [repr(b) for b in r.applied_beta]
-            + [repr(r.realized_p_s), repr(r.realized_q_s),
-               repr(r.realized_p_loss), repr(r.realized_f),
+            + [repr(x) for x in ((pf.p_s, pf.q_s, pf.p_loss)
+                                 if pf is not None else (nan,) * 3)]
+            + [repr(r.realized_f),
                repr(r.realized_f1), repr(r.realized_f2), repr(r.realized_f3),
                repr(r.realized_f4), r.violations, int(r.clamped),
                int(r.stale_table), int(r.failed),

@@ -196,7 +196,7 @@ def test_criterion_8_full_day_conservatism(net, day):
         # actual wind above forecast while the grid still imports power
         if sum(r.actual_wind) > sum(forecast) and r.forecast_p_s > 1e-3:
             checked += 1
-            if r.realized_p_s < r.forecast_p_s:
+            if r.realized.p_s < r.forecast_p_s:
                 satisfied += 1
     assert checked > 0
     assert satisfied > 0

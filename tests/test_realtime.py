@@ -263,6 +263,16 @@ def test_trace_csv_and_summary_text():
     assert "realized_p_s_mw" in header
     first = dict(zip(header, lines[1].split(",")))
     assert float(first["actual_wind_bus3"]) == run.records[0].actual_wind[0]
+    pf = run.records[0].realized
+    assert [first[c] for c in ("realized_p_s_mw", "realized_q_s_mvar",
+                               "realized_p_loss_mw")] \
+        == [repr(pf.p_s), repr(pf.q_s), repr(pf.p_loss)]
+    # an update that realized nothing writes nan for its power flow
+    unrealized = replace(run, records=(replace(run.records[0], realized=None),))
+    row = dict(zip(header, trace_to_csv(unrealized, [3]).split("\n")[1]
+                   .split(",")))
+    assert [row[c] for c in ("realized_p_s_mw", "realized_q_s_mvar",
+                             "realized_p_loss_mw")] == ["nan"] * 3
     summary = summary_to_text(run.summary)
     assert "updates: 6" in summary
     assert "violation_intervals:" in summary
