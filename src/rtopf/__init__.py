@@ -12,8 +12,8 @@ from .profiles import (DayProfiles, ProfileGenConfig, gen_actual_wind,
                        gen_day_profiles, gen_demand, gen_wind_forecast,
                        load_profiles, save_profiles)
 from .realtime import (DayRun, DaySummary, TraceRecord, apply_and_realize,
-                       run_day, select_positions, select_scenario,
-                       summary_to_text, trace_to_csv)
+                       run_day, select_positions, summary_to_text,
+                       trace_to_csv)
 from .scenarios import (LookupTable, Scenario, WindLevels, build_lookup_table,
                         enumerate_scenarios, make_levels, scenario_index,
                         scenario_label, table_to_csv)

@@ -8,19 +8,22 @@ the solver is a seeded pattern search, certified against a brute-force grid
 oracle.
 
 The search has one setting, the module constants below; ``OPFOptions``
-holds only the evaluation budget. Each polish round is one complete poll:
-every station raised and every station lowered, at every step from
-POLISH_STEP down to POLISH_STEP_MIN, goes into one batched evaluation, and
-the search stops when no move at any step improves the objective. Whenever
-the wind exceeds demand plus losses the optimum lies on the reverse-flow
-boundary p_s = 0. One landing rule, ``_land``, evaluates every seed and
-poll point: the kernel lands it on the boundary inside the power-flow
-iteration, lowering the beta of the station with the most wind to give up
-(other than the one its move raised) until the slack's active power is zero
-(``zbus_iterate``'s pin). So an exporting seed corner lands on the
-boundary, and a move that overshoots it becomes a slide along it, in the
-call that evaluates them. Only a point whose station runs out of room takes
-one more call, from its own state, through the next station with room.
+holds only the evaluation budget. The evaluation settings (the mismatch
+tolerance, the kernel's iteration cap and the limit tolerance) are the
+constants of ``rtopf.powerflow``, and this module states none of its own.
+Each polish round is one complete poll: every station raised and every
+station lowered, at every step from POLISH_STEP down to POLISH_STEP_MIN,
+goes into one batched evaluation, and the search stops when no move at any
+step improves the objective. Whenever the wind exceeds demand plus losses
+the optimum lies on the reverse-flow boundary p_s = 0. One landing rule,
+``_land``, evaluates every seed and poll point: the kernel lands it on the
+boundary inside the power-flow iteration, lowering the beta of the station
+with the most wind to give up (other than the one its move raised) until
+the slack's active power is zero (``zbus_iterate``'s pin). So an exporting
+seed corner lands on the boundary, and a move that overshoots it becomes a
+slide along it, in the call that evaluates them. Only a point whose station
+runs out of room takes one more call, from its own state, through the next
+station with room.
 
 The receding-horizon controller solves tens of thousands of these problems
 per simulated day, so the evaluator batches candidate points through the
@@ -44,7 +47,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .network import Network
-from .powerflow import (DEFAULT_TOL, LIMIT_TOL, ConstraintReport,
+from .powerflow import (LIMIT_TOL, MISMATCH_TOL, ConstraintReport,
                         InjectionSpec, PowerFlowSolution, branch_flows,
                         check_limits, drawn_power, evaluate_point,
                         injections, limit_margins, objective, slack_power,
@@ -55,12 +58,9 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_FAILURE = "solver_failure"
 
 TOL_OBJ = 1e-7          # minimum accepted search-step improvement
-TOL_CONS = LIMIT_TOL    # constraint tolerance, shared with check_limits
 COARSE_GRID = 2         # seeding grid points per station
 POLISH_STEP = 0.25      # largest pattern-search step
 POLISH_STEP_MIN = 1e-2  # the poll halves the step down to this
-PF_TOL = DEFAULT_TOL
-PF_MAX_ITER = 30
 SURFACE_TOL = 1e-7      # MW; |p_s| of a point on the reverse-flow boundary
 
 
@@ -147,8 +147,6 @@ class _Eval(NamedTuple):
     """Result of one objective evaluation."""
     score: float  # the objective where feasible, -inf otherwise
     p_s: float    # MW
-    feasible: bool
-    converged: bool
     batch: _Batch | None = None  # the call that evaluated it, if converged
     row: int = -1                # and its case in that call
 
@@ -158,7 +156,7 @@ class _Eval(NamedTuple):
         return self.batch.state[self.row]
 
 
-_FAILED_EVAL = _Eval(-math.inf, math.nan, False, False)
+_FAILED_EVAL = _Eval(-math.inf, math.nan)
 
 
 def _frozen(a) -> np.ndarray:
@@ -214,8 +212,7 @@ class _Evaluator:
             pin = (np.where(slide >= 0, net.station_index[slide], 0),
                    self.wind[slide] / net.base_mva, b,
                    SURFACE_TOL / net.base_mva)
-        ok, iterations, residual = zbus_iterate(
-            net.Y, s_pu, vc, PF_TOL, PF_MAX_ITER, net.Z, pin=pin)
+        ok, iterations, residual = zbus_iterate(net, s_pu, vc, pin=pin)
         if pin is not None:
             dw = (b - beta[rows, slide]) * self.wind[slide]
             beta[rows, slide] = b
@@ -224,7 +221,7 @@ class _Evaluator:
         p_s, q_s, p_loss = slack_power(net, net.Y, p, vc)
         flows = branch_flows(net, vc)
         values, margins = limit_margins(net, p_s, q_s, np.abs(vc), flows)
-        feas = ok & (margins >= -TOL_CONS).all(axis=1)
+        feas = ok & (margins >= -LIMIT_TOL).all(axis=1)
         terms = objective(inp.price_p, inp.price_q, injected, p_loss, p_s,
                           q_s)
         score = np.where(feas, terms[0], -math.inf)
@@ -234,11 +231,9 @@ class _Evaluator:
             self._warm = vc[int(np.argmax(score if feas.any() else ok))]
         batch = _Batch(vc, p_s, q_s, p_loss, flows, values, margins, terms,
                        iterations, residual)
-        return [(beta[i], _Eval(sc, ps, fe, True, batch, i)
-                 if conv else _FAILED_EVAL)
-                for i, (sc, ps, fe, conv) in enumerate(zip(
-                    score.tolist(), p_s.tolist(), feas.tolist(),
-                    ok.tolist()))]
+        return [(beta[i], _Eval(sc, ps, batch, i) if conv else _FAILED_EVAL)
+                for i, (sc, ps, conv) in enumerate(zip(
+                    score.tolist(), p_s.tolist(), ok.tolist()))]
 
     def __call__(self, x: np.ndarray) -> _Eval:
         return self.eval_many([x])[0][1]
@@ -258,7 +253,7 @@ class _Evaluator:
         names, lower, upper = self.net.limit_bounds
         report = ConstraintReport(names=names, values=_frozen(b.values[i]),
                                   lower=lower, upper=upper,
-                                  margins=_frozen(b.margins[i]), tol=TOL_CONS)
+                                  margins=_frozen(b.margins[i]))
         f, f1, f2, f3, f4 = (float(t[i]) for t in b.terms)
         return OPFSolution(
             beta=tuple(float(x) for x in beta), p_s=pf.p_s, q_s=pf.q_s,
@@ -323,7 +318,7 @@ def evaluate_objective(net: Network, inp: HorizonInput,
     pf, terms = evaluate_point(net, demand, _wind(net, inp), beta,
                                inp.price_p, inp.price_q)
     return ObjectiveBreakdown(*terms, power_flow=pf,
-                              report=check_limits(net, pf, tol=TOL_CONS))
+                              report=check_limits(net, pf))
 
 
 def _failed(beta_len: int, status: str, evals: int,
@@ -437,7 +432,7 @@ def _reuse(net: Network, inp: HorizonInput, wind: np.ndarray,
     B too. B's beta keeps beta_A where w_B = w_A, and where w_B = 0 (there
     P_A = 0, so beta_A = 0 unless w_A = 0 too); elsewhere it is
     P_A / w_B. A's state must solve B's own injection: its largest P or Q
-    mismatch there is at most PF_TOL, the test with which a power flow
+    mismatch there is at most MISMATCH_TOL, the test with which a power flow
     started from that state would stop at once. B then keeps A's state,
     slack power, flows and constraint report (A's must hold every limit),
     reports 0 iterations and that mismatch, and takes its losses and
@@ -464,7 +459,7 @@ def _reuse(net: Network, inp: HorizonInput, wind: np.ndarray,
     p, _, injected = injections(net, a.demand, wind, beta)
     ds = p[1:] / net.base_mva + a.jq - a.drawn
     res = float(np.abs(ds.view(float)).max(initial=0.0))
-    if not res <= PF_TOL:
+    if not res <= MISMATCH_TOL:
         return None
     pf = a.sol.power_flow
     # the slack covers demand minus wind plus losses (``slack_power``)
@@ -488,7 +483,7 @@ def solve_opf(net: Network, inp: HorizonInput,
               incumbent: Incumbent | None = None) -> OPFSolution:
     """Optimal curtailment factors for one scenario.
 
-    status 'optimal': all constraints hold within TOL_CONS and the
+    status 'optimal': all constraints hold within LIMIT_TOL and the
     objective is certified against oracle_opf in the test suite.
     status 'infeasible': no point of a dense per-station grid admits a
     violation-free converged power flow.
@@ -517,7 +512,7 @@ def solve_opf(net: Network, inp: HorizonInput,
     ones = np.ones(nst)
     if degenerate:
         e = ev(ones)
-        if e.feasible:
+        if math.isfinite(e.score):
             return ev.solution(ones, e, STATUS_OPTIMAL)
         if windless:
             return _failed(nst, STATUS_INFEASIBLE, ev.evals,

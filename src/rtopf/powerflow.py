@@ -14,6 +14,10 @@ also pins cases of the iteration: a pinned case lowers one station's wind
 until the slack's active power is zero, so a point lands on the
 reverse-flow boundary within its own solve.
 
+Every evaluation runs with one set of settings, the constants below: the
+mismatch tolerance, the two loops' iteration caps and the limit tolerance.
+No function takes them as arguments.
+
 The slack bus balances the network: its active/reactive injection and the
 total losses come out of the solve. All buses except the slack are PQ.
 """
@@ -31,8 +35,18 @@ from .network import Network, zbus
 # pu mismatch. The iteration converges linearly, so a state is about as
 # accurate as this bound: at 1e-8 an OPF solution on case41 was reported at
 # p_s = -1.001e-6 MW, outside the 1e-6 MW tolerance of the bound p_s >= 0.
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 50
+MISMATCH_TOL = 1e-10
+# The two loops stop at different caps on purpose. A single solve (a
+# realized update, a fixed-beta evaluation) converges within 9 iterations
+# in the test suite, and a seeded day's updates take 3-6 from a warm start
+# and 6-7 from a flat one; 50 leaves room for harder cases before the solve
+# raises NonConvergence. No OPF case converges after iteration 7 (the
+# reference table, the test suite and the day-window tables at two seeds),
+# but about 2 % of the OPF's cases never converge: the points of its
+# infeasibility scans. Each of those runs to the cap, so the kernel stops
+# at 30, where 50 would cost every one of them 20 more iterations.
+SOLVE_MAX_ITER = 50   # solve_power_flow
+KERNEL_MAX_ITER = 30  # zbus_iterate
 LIMIT_TOL = 1e-6  # constraint-violation tolerance (MW, Mvar, pu, MVA)
 
 
@@ -153,15 +167,14 @@ def start_state(net: Network, start=None) -> np.ndarray:
     return vc[None]
 
 
-def zbus_iterate(y: np.ndarray, s_pu: np.ndarray, vc: np.ndarray,
-                 tol: float, max_iter: int, z: np.ndarray | None,
-                 pin=None):
+def zbus_iterate(net: Network, s_pu: np.ndarray, vc: np.ndarray, pin=None):
     """Implicit Z-bus iteration ``V_l <- Z·(conj(S_l / V_l) - Y_l0·V_0)``
-    over K independent cases of complex bus voltages ``vc`` and specified
-    complex injections ``s_pu`` (slack entries ignored), (K, n) arrays,
-    taken as the correction ``Z·conj(dS / V_l)`` by the power mismatch dS.
-    ``z`` is ``zbus(y)``, the cached ``net.Z`` when ``y`` is ``net.Y``, and
-    None when ``y[1:, 1:]`` is singular.
+    on ``net`` (its ``Y`` and cached factor ``Z``, None when ``Y[1:, 1:]``
+    is singular) over K independent cases of complex bus voltages ``vc``
+    and specified complex injections ``s_pu`` (slack entries ignored),
+    (K, n) arrays, taken as the correction ``Z·conj(dS / V_l)`` by the
+    power mismatch dS. A case stops within MISMATCH_TOL or at
+    KERNEL_MAX_ITER iterations.
 
     ``pin`` optionally slides one station per case down onto p_s = 0
     inside the iteration. It is a tuple ``(bus, w, beta, p_tol)``: (K,)
@@ -171,15 +184,16 @@ def zbus_iterate(y: np.ndarray, s_pu: np.ndarray, vc: np.ndarray,
     active power that the current mismatch predicts, p0 - sum Re(dS_l), is
     zero, clipped to [0, start beta], so the slide only ever lowers wind;
     p0 is the slack power of ``slack_power`` at the current voltages. A
-    pinned case stops when its mismatch is within tol and either
+    pinned case stops when its mismatch is within MISMATCH_TOL and either
     |p0| <= p_tol or its beta cannot move: it imports at its start beta,
     or it exports at beta = 0.
 
     Updates vc in place. Returns three (K,) arrays: converged (max P/Q
-    mismatch <= tol), the iteration count and the final max mismatch (pu).
-    A case stops unconverged on a non-finite mismatch, and at iteration 0
-    when ``z`` is None.
+    mismatch <= MISMATCH_TOL), the iteration count and the final max
+    mismatch (pu). A case stops unconverged on a non-finite mismatch, and
+    at iteration 0 when ``net.Z`` is None.
     """
+    y, z, tol, max_iter = net.Y, net.Z, MISMATCH_TOL, KERNEL_MAX_ITER
     k = vc.shape[0]
     y_l = y[1:]
     converged = np.zeros(k, dtype=bool)
@@ -300,17 +314,16 @@ def limit_margins(net: Network, p_s, q_s, v: np.ndarray,
     return values, np.minimum(values - lower, upper - values)
 
 
-def solve_power_flow(net: Network, inj: InjectionSpec, *,
-                     tol: float = DEFAULT_TOL,
-                     max_iter: int = DEFAULT_MAX_ITER,
-                     start=None,
+def solve_power_flow(net: Network, inj: InjectionSpec, *, start=None,
                      y: np.ndarray | None = None) -> PowerFlowSolution:
     """Solve the AC power-flow equations for the given injections.
 
     Runs ``zbus_iterate``'s iteration and stopping rules for one case, on
     1-D arrays: a batch's bookkeeping costs more than the two
     matrix-vector products of an iteration. The products round as the
-    kernel's do for one case, so a solve matches the kernel's bitwise.
+    kernel's do for one case, so a solve matches the kernel's bitwise. It
+    stops within MISMATCH_TOL, and raises NonConvergence after
+    SOLVE_MAX_ITER iterations or on a non-finite mismatch.
 
     ``start`` is None for a flat start or a ``(v, theta)`` pair for a warm
     start; the reported ``v`` and ``theta`` are the magnitude and angle of
@@ -318,10 +331,7 @@ def solve_power_flow(net: Network, inj: InjectionSpec, *,
     matrix: the network's own ``net.Y`` (the default) uses its cached factor
     ``net.Z``, and any other matrix is factored for this call.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    tol, max_iter = MISMATCH_TOL, SOLVE_MAX_ITER
     if y is None:
         y = net.Y
     z = net.Z if y is net.Y else zbus(y)
@@ -376,21 +386,20 @@ class ConstraintCheck:
 class ConstraintReport:
     """Every operating constraint at one solved state, as arrays in
     ``net.limit_bounds`` order. A constraint is violated when its margin is
-    below ``-tol``; ``checks`` and ``violations`` build their
+    below ``-LIMIT_TOL``; ``checks`` and ``violations`` build their
     ``ConstraintCheck`` objects only when read."""
     names: tuple[str, ...]
     values: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     margins: np.ndarray
-    tol: float
 
     def _checks(self, which) -> tuple[ConstraintCheck, ...]:
         return tuple(
             ConstraintCheck(name=self.names[i], value=float(self.values[i]),
                             lower=float(self.lower[i]),
                             upper=float(self.upper[i]),
-                            violated=bool(self.margins[i] < -self.tol),
+                            violated=bool(self.margins[i] < -LIMIT_TOL),
                             slack=float(self.margins[i]))
             for i in which)
 
@@ -400,22 +409,21 @@ class ConstraintReport:
 
     @property
     def violations(self) -> tuple[ConstraintCheck, ...]:
-        return self._checks((self.margins < -self.tol).nonzero()[0].tolist())
+        return self._checks((self.margins < -LIMIT_TOL).nonzero()[0].tolist())
 
     @property
     def ok(self) -> bool:
-        return not (self.margins < -self.tol).any()
+        return not (self.margins < -LIMIT_TOL).any()
 
 
-def check_limits(net: Network, sol: PowerFlowSolution,
-                 tol: float = LIMIT_TOL) -> ConstraintReport:
+def check_limits(net: Network, sol: PowerFlowSolution) -> ConstraintReport:
     """Evaluate every operating constraint against the solved state.
 
     Covers the slack apparent/active/reactive bounds, PQ-bus voltage bands,
     and per-branch apparent-flow limits. A constraint is flagged violated
-    when it exceeds its bound by more than ``tol``.
+    when it exceeds its bound by more than LIMIT_TOL.
     """
     names, lower, upper = net.limit_bounds
     values, margins = limit_margins(net, sol.p_s, sol.q_s, sol.v, sol.flows)
     return ConstraintReport(names=names, values=values, lower=lower,
-                            upper=upper, margins=margins, tol=tol)
+                            upper=upper, margins=margins)

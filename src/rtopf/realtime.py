@@ -112,12 +112,6 @@ def select_positions(levels: WindLevels,
     return tuple(positions), clamped
 
 
-def select_scenario(table: LookupTable, actual: Sequence[float]) -> int:
-    """Lookup-table row index matching the observed wind."""
-    positions, _ = select_positions(table.levels, actual)
-    return scenario_index(positions)
-
-
 def apply_and_realize(net: Network,
                       demand_p: Mapping[int, float],
                       demand_q: Mapping[int, float],

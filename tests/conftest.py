@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rtopf import load_network
+from rtopf import load_network, scenarios
 from rtopf.network import Branch, Bus, Network, WindStation, validate
 from rtopf.opf import HorizonInput
 
@@ -68,3 +68,19 @@ def random_radial_net(rng: np.random.Generator, n_buses: int) -> Network:
             shunt_susceptance_total=float(rng.uniform(0.0, 0.01))))
     return validate(Network(buses=tuple(buses), branches=tuple(branches),
                             stations=(), s_s_max=1e9))
+
+
+def raising_row(monkeypatch, row=10):
+    """Make ``scenarios.solve_opf`` raise on row ``row`` of every 49-row
+    table (in-process builds solve the rows in index order); returns the
+    exception it raises."""
+    real, calls = scenarios.solve_opf, []
+    exc = RuntimeError("row solver crashed")
+
+    def flaky(*args, **kwargs):
+        calls.append(args)
+        if len(calls) % 49 == row:
+            raise exc
+        return real(*args, **kwargs)
+    monkeypatch.setattr(scenarios, "solve_opf", flaky)
+    return exc

@@ -4,7 +4,9 @@ import pytest
 
 from rtopf.cli import main
 
-from conftest import DATA
+from rtopf.network import save_network
+
+from conftest import DATA, chain_net, raising_row
 
 
 def test_solve_opf_bundled_defaults(capsys):
@@ -86,6 +88,36 @@ def test_infeasible_exit_code(tmp_path):
         "price_p": 1.67, "price_q": 0.4}))
     assert main(["solve-opf", "--input", str(heavy),
                  "--out", "/dev/null"]) == 4
+
+
+def test_build_table_exits_4_when_every_row_is_infeasible(tmp_path):
+    # one station on a short feeder far beyond its loadability: each of the
+    # 7 rows fails its seeds and its dense scan
+    case = tmp_path / "case.json"
+    save_network(chain_net(3, station_buses=(3,)), case)
+    heavy = tmp_path / "h.json"
+    heavy.write_text(json.dumps({
+        "demand_p": {"2": 500.0}, "demand_q": {"2": 150.0},
+        "wind_available": {"3": 1.0}, "price_p": 1.67, "price_q": 0.4}))
+    out = tmp_path / "table.csv"
+    assert main(["build-table", "--case", str(case), "--input", str(heavy),
+                 "--out", str(out)]) == 4
+    rows = out.read_text().strip().split("\n")[1:]
+    assert len(rows) == 7
+    assert all(r.endswith(",infeasible") for r in rows)
+
+
+def test_a_failed_row_exits_5(tmp_path, monkeypatch):
+    # one row's solver raises: the table and the day still complete, and
+    # both commands report the failure
+    raising_row(monkeypatch)
+    out = tmp_path / "table.csv"
+    assert main(["build-table", "--out", str(out)]) == 5
+    rows = out.read_text().strip().split("\n")[1:]
+    assert [r.rsplit(",", 1)[1] for r in rows].count("solver_failure") == 1
+    summary = tmp_path / "summary.txt"
+    assert main(["simulate", "--horizons", "1", "--out", str(summary)]) == 5
+    assert "failed_rows: 1" in summary.read_text()
 
 
 def test_non_finite_horizon_input_is_invalid(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import weakref
 from dataclasses import replace
 
@@ -18,6 +20,11 @@ from rtopf.scenarios import (build_lookup_table, enumerate_scenarios,
                              make_levels)
 
 from conftest import DATA, chain_net
+
+# SHA-256 of the reference table's CSV (the bundled case and horizon), as
+# ``rtopf build-table`` writes it
+REFERENCE_TABLE_SHA256 = ("9b794688acace8f25029d9a45380351c"
+                          "fee5da61337d4ccfb83ef4280ce0652f")
 
 
 def one_station_net(**kw):
@@ -184,6 +191,40 @@ def test_infeasible_when_voltage_band_unreachable():
     assert sol.status == STATUS_INFEASIBLE
 
 
+def test_dense_scan_finds_the_feasible_band(monkeypatch):
+    # both seed corners break a limit (beta = 0 imports beyond the slack's
+    # rating, beta = 1 lifts bus 4 above 1.02 pu), so the search starts
+    # from the dense scan's first feasible point; on a 21-point grid only
+    # beta 0.60..0.75 holds every limit
+    net = chain_net(4, r=0.05, x=0.05, s_s_max=2.0, station_buses=(4,),
+                    rated=10.0, v_min=0.9, v_max=1.02,
+                    demand={2: (4.0, 1.0)})
+    inp = HorizonInput(demand_p={2: 4.0}, demand_q={2: 1.0},
+                       wind_available={4: 4.0}, price_p=1.67, price_q=0.4)
+    assert not evaluate_objective(net, inp, [0.0]).report.ok
+    assert not evaluate_objective(net, inp, [1.0]).report.ok
+    grid = np.linspace(0.0, 1.0, 21)
+    ok = [b for b in grid if evaluate_objective(net, inp, [b]).report.ok]
+    assert ok == pytest.approx([0.6, 0.65, 0.7, 0.75])
+    calls = []
+    kernel = opf.zbus_iterate
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return kernel(*args, **kwargs)
+    monkeypatch.setattr(opf, "zbus_iterate", counted)
+    sol = solve_opf(net, inp)
+    assert 101 in calls  # the dense scan ran, in one chunk of the grid
+    assert sol.status == STATUS_OPTIMAL and sol.report.ok
+    # the search improves on the scan's first feasible point (beta = 0.6
+    # on the 101-point grid); the poll's smallest step stops it short of
+    # the voltage wall, so no agreement with the oracle is claimed here
+    first = evaluate_objective(net, inp, [0.6])
+    assert first.report.ok
+    assert not evaluate_objective(net, inp, [0.59]).report.ok
+    assert sol.f >= first.f
+
+
 def test_failure_status_when_budget_too_small():
     net = one_station_net()
     # the seed grid's evaluations only, so the polish never starts
@@ -272,7 +313,7 @@ def test_land_hands_over_and_lands_every_seed_corner(net41, horizon1,
     (x, e), = _land(evaluator(net41, inp), [np.ones(2)], np.array([-1]))
     assert calls == [1, 1]
     assert x[0] == 0.0 and x[1] == pytest.approx(0.222, abs=1e-3)
-    assert abs(e.p_s) <= SURFACE_TOL and e.feasible
+    assert abs(e.p_s) <= SURFACE_TOL and math.isfinite(e.score)
     # an exporting one-station corner lands too, in one call, instead of
     # being dropped from the seed grid
     calls.clear()
@@ -280,13 +321,14 @@ def test_land_hands_over_and_lands_every_seed_corner(net41, horizon1,
                     np.array([-1]))
     assert calls == [1]
     assert x[0] == 0.0 and 0.0 < x[1] < 1.0
-    assert abs(e.p_s) <= SURFACE_TOL and e.feasible
+    assert abs(e.p_s) <= SURFACE_TOL and math.isfinite(e.score)
     # so all four corners of the seed grid come back, in two calls
     calls.clear()
     grid = [np.array(c, dtype=float) for c in ((0, 0), (0, 1), (1, 0), (1, 1))]
     landed = _land(evaluator(net41, inp), grid, np.full(4, -1))
     assert calls == [4, 1]
-    assert len(landed) == 4 and all(e.feasible for _, e in landed)
+    assert len(landed) == 4 and all(math.isfinite(e.score)
+                                    for _, e in landed)
 
 
 def random_horizons(base, net, count):
@@ -398,6 +440,9 @@ def test_reference_table_takes_few_kernel_calls(net41, horizon1,
     assert searched == 7
     assert len(evaluators) == searched
     assert len(records) == searched
+    # and the table itself, pinned by digest: every row, bitwise
+    csv = scenarios.table_to_csv(table, buses).encode()
+    assert hashlib.sha256(csv).hexdigest() == REFERENCE_TABLE_SHA256
 
 
 def solution_key(sol):
@@ -504,7 +549,7 @@ def test_reused_rows_hold_their_incumbents_optimum(net41, horizon1,
         reused += 1
         inp_a, sol_a = incumbent.inp, incumbent.sol
         assert sol.report.ok
-        assert abs(sol.p_s) <= opf.TOL_CONS
+        assert abs(sol.p_s) <= powerflow.LIMIT_TOL
         for k, b in enumerate(buses):
             assert (sol.beta[k] * inp.wind_available[b]
                     == pytest.approx(sol_a.beta[k] * inp_a.wind_available[b],
@@ -535,7 +580,7 @@ def reference_reuse(net, inp, inp_a, sol_a):
     pf = sol_a.power_flow
     _, res = powerflow.power_mismatch(
         net.Y[1:], s_pu[:, 1:], powerflow.start_state(net, (pf.v, pf.theta)))
-    assert res[0] <= opf.PF_TOL
+    assert res[0] <= powerflow.MISMATCH_TOL
     p_loss = pf.p_s + float(p[0, 1:].sum())
     f, f1, f2, f3, f4 = powerflow.objective(
         inp.price_p, inp.price_q, float(injected[0]), p_loss, pf.p_s, pf.q_s)
@@ -623,7 +668,7 @@ def test_reported_rows_agree_with_an_independent_evaluation(net41, horizon1):
             # a row reports one loss: its power flow's is its own
             assert sol.p_loss == sol.power_flow.p_loss
             assert (mismatch_pu(net41, row, sol.beta, sol.power_flow)
-                    <= 1.01 * opf.PF_TOL)
+                    <= 1.01 * powerflow.MISMATCH_TOL)
     assert checked >= 400
 
 

@@ -1,17 +1,19 @@
 import pickle
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rtopf import powerflow
 from rtopf.network import NetworkValidationError, build_admittance
 from rtopf.opf import SURFACE_TOL
-from rtopf.powerflow import (DEFAULT_MAX_ITER, DEFAULT_TOL, InjectionSpec,
-                             NonConvergence, PowerFlowError, branch_flows,
-                             check_limits, slack_power, solve_power_flow,
-                             start_state, zbus_iterate)
+from rtopf.powerflow import (LIMIT_TOL, InjectionSpec, NonConvergence,
+                             PowerFlowError, branch_flows, check_limits,
+                             slack_power, solve_power_flow, start_state,
+                             zbus_iterate)
 from rtopf.powerflow import SingularJacobian
 from rtopf.powerflow import injections as inject
 
@@ -84,9 +86,11 @@ def test_balance_against_branch_losses_on_random_feeders(seed, loads):
     inj = injections(net, {i: p for i, (p, _) in enumerate(loads, 2)},
                      {i: q for i, (_, q) in enumerate(loads, 2)})
     # the balance holds to the mismatch per bus times the base, so solve
-    # tighter than the default 1e-10 pu (1e-9 MW a bus on a 10 MVA base)
+    # tighter than MISMATCH_TOL, 1e-10 pu (1e-9 MW a bus on a 10 MVA base)
     try:
-        sol = solve_power_flow(net, inj, tol=1e-12)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(powerflow, "MISMATCH_TOL", 1e-12)
+            sol = solve_power_flow(net, inj)
     except PowerFlowError:
         assume(False)
     vc = sol.v * np.exp(1j * sol.theta)
@@ -253,15 +257,6 @@ def test_other_admittance_is_factored_for_the_call():
     assert sol.v[2] < solve_power_flow(net, inj).v[2]
 
 
-def test_input_validation():
-    net = chain_net(2)
-    inj = injections(net, {})
-    with pytest.raises(ValueError):
-        solve_power_flow(net, inj, tol=0.0)
-    with pytest.raises(ValueError):
-        solve_power_flow(net, inj, max_iter=0)
-
-
 def test_flows_reported_per_branch():
     net = chain_net(3, r=0.01, x=0.02)
     sol = solve_power_flow(net, injections(net, {3: -4.0}))
@@ -313,12 +308,16 @@ def test_check_limits_flags_branch_overload():
 def test_check_limits_tolerance_absorbs_tiny_violations():
     net = chain_net(3, station_buses=(3,))
     sol = solve_power_flow(net, injections(net, {2: -1.0, 3: 1.0}))
-    # p_s is a hair above/below zero; a loose tolerance must not flag it
-    report = check_limits(net, sol, tol=1.0)
-    assert report.ok
+    # p_s a hair below zero: within LIMIT_TOL it is not flagged, beyond it
+    # it is
+    inside = check_limits(net, replace(sol, p_s=-0.5 * LIMIT_TOL))
+    assert inside.ok and not inside.violations
+    beyond = check_limits(net, replace(sol, p_s=-2.0 * LIMIT_TOL))
+    assert not beyond.ok
+    assert [c.name for c in beyond.violations] == ["slack_active_mw"]
 
 
-def test_batch_matches_separate_solves_bitwise(net41):
+def test_batch_matches_separate_solves_bitwise(net41, monkeypatch):
     rng = np.random.default_rng(7)
     specs = []
     for _ in range(6):
@@ -332,8 +331,7 @@ def test_batch_matches_separate_solves_bitwise(net41):
     q = np.array([s.q_mvar for s in specs])
     vc = np.ones((len(specs), net41.n_buses), dtype=complex)  # flat start
     converged, iterations, _ = zbus_iterate(
-        net41.Y, p / net41.base_mva + 1j * (q / net41.base_mva), vc,
-        DEFAULT_TOL, DEFAULT_MAX_ITER, net41.Z)
+        net41, p / net41.base_mva + 1j * (q / net41.base_mva), vc)
     p_s, q_s, _ = slack_power(net41, net41.Y, p, vc)
     assert not converged[3]
     with pytest.raises(NonConvergence):
@@ -363,8 +361,7 @@ def test_batch_matches_separate_solves_bitwise(net41):
     def pinned(rows):
         vc = np.ones((len(rows), net41.n_buses), dtype=complex)
         beta = beta0[rows].copy()
-        out = zbus_iterate(net41.Y, s_w[rows], vc, DEFAULT_TOL,
-                           DEFAULT_MAX_ITER, net41.Z,
+        out = zbus_iterate(net41, s_w[rows], vc,
                            pin=(bus[rows], wind[rows] / base, beta,
                                 SURFACE_TOL / base))
         return out, vc, beta
@@ -377,8 +374,7 @@ def test_batch_matches_separate_solves_bitwise(net41):
         assert beta[k] == b1[0]
         if bus[k] == 0:
             v2 = np.ones((1, net41.n_buses), dtype=complex)
-            zbus_iterate(net41.Y, s_w[[k]], v2, DEFAULT_TOL,
-                         DEFAULT_MAX_ITER, net41.Z)
+            zbus_iterate(net41, s_w[[k]], v2)
             assert np.array_equal(vc[k], v2[0], equal_nan=True)
             assert beta[k] == beta0[k]
     slid = (bus > 0) & converged & (beta < beta0)
@@ -403,10 +399,9 @@ def test_batch_matches_separate_solves_bitwise(net41):
     starts = np.concatenate([start_state(net41)] + [
         start_state(net41, (sol.v, sol.theta)) for sol in sols[:-1]])
 
-    def kernel(rows, max_iter=DEFAULT_MAX_ITER):
+    def kernel(rows):
         vc = starts[rows]
-        out = zbus_iterate(net41.Y, s_c[rows], vc, DEFAULT_TOL, max_iter,
-                           net41.Z)
+        out = zbus_iterate(net41, s_c[rows], vc)
         return (out, vc, slack_power(net41, net41.Y, p_c[rows], vc),
                 branch_flows(net41, vc))
     batch = kernel(np.arange(len(chain)))
@@ -422,10 +417,12 @@ def test_batch_matches_separate_solves_bitwise(net41):
             assert np.array_equal(flows[j], sol.flows)
     # capped at two iterations, the flat-start update stops where the
     # kernel does
-    (conv, its, res), _, _, _ = kernel([0], max_iter=2)
+    monkeypatch.setattr(powerflow, "KERNEL_MAX_ITER", 2)
+    monkeypatch.setattr(powerflow, "SOLVE_MAX_ITER", 2)
+    (conv, its, res), _, _, _ = kernel([0])
     assert not conv[0]
     with pytest.raises(NonConvergence) as exc:
-        solve_power_flow(net41, chain[0], max_iter=2)
+        solve_power_flow(net41, chain[0])
     assert (exc.value.iterations, exc.value.final_residual) == (its[0],
                                                                 res[0])
 
@@ -450,8 +447,7 @@ def test_pin_lands_exporting_cases_on_zero_slack_power(seed, n, beta0,
 
     def solve(pin):
         vc = np.ones((1, n), dtype=complex)
-        converged, _, _ = zbus_iterate(net.Y, s, vc, DEFAULT_TOL,
-                                       DEFAULT_MAX_ITER, net.Z, pin=pin)
+        converged, _, _ = zbus_iterate(net, s, vc, pin=pin)
         assume(converged[0])
         return vc
     p_s0 = slack_power(net, net.Y, p[None, :], solve(None))[0][0]

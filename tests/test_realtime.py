@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 
 from rtopf import realtime
 from rtopf.opf import FAST_OPTS, HorizonInput, evaluate_objective
-from rtopf.powerflow import (DEFAULT_MAX_ITER, DEFAULT_TOL, InjectionSpec,
-                             branch_flows, injections, slack_power,
-                             start_state, zbus_iterate)
+from rtopf.powerflow import (InjectionSpec, PowerFlowError, branch_flows,
+                             injections, slack_power, start_state,
+                             zbus_iterate)
 from rtopf.profiles import (HORIZON_S, ProfileGenConfig, SLOTS_PER_DAY,
                             UPDATE_S, UPDATES_PER_SLOT, gen_day_profiles)
 from rtopf.realtime import (apply_and_realize, run_day, select_positions,
-                            select_scenario, summary_to_text, trace_to_csv)
+                            summary_to_text, trace_to_csv)
 from rtopf.scenarios import (build_lookup_table, enumerate_scenarios,
-                             make_levels)
+                             make_levels, scenario_index)
 
 from conftest import DATA, chain_net
 
@@ -76,7 +76,9 @@ def test_select_scenario_indexes_the_table():
     levels = make_levels([2.0], None, [10.0])
     table = build_lookup_table(net, inp, enumerate_scenarios(levels), levels,
                                opts=FAST_OPTS)
-    idx = select_scenario(table, (1.8,))
+    positions, clamped = select_positions(table.levels, (1.8,))
+    assert not clamped
+    idx = scenario_index(positions)
     sc, _ = table.row(idx)
     assert sc.wind[0] >= 1.8
     assert idx == 4  # levels 3.5..0.5; M = 2.0 is the smallest cover of 1.8
@@ -152,8 +154,7 @@ def test_run_day_chain_matches_dict_updates_and_the_kernel(net41):
             vc[0, 1:] = warm[0][1:] * np.exp(1j * warm[1][1:])
         assert np.array_equal(start_state(net41, warm), vc)
         converged, iterations, _ = zbus_iterate(
-            net41.Y, p / mva + 1j * (q / mva), vc, DEFAULT_TOL,
-            DEFAULT_MAX_ITER, net41.Z)
+            net41, p / mva + 1j * (q / mva), vc)
         assert converged[0] and iterations[0] == ref.iterations
         assert np.array_equal(np.abs(vc[0]), ref.v)
         assert np.array_equal(np.angle(vc[0]), ref.theta)
@@ -213,6 +214,60 @@ def test_run_day_stale_table_fallback(caplog):
             if "no previous table" in r.getMessage()]
     assert len(late) == 1 and late[0].startswith("horizon 0:")
     assert not any(r.stale_table for r in run.records if r.horizon_id == 0)
+
+
+def test_run_day_counts_clamped_updates_and_their_violations():
+    # a generated day never clamps (its actual wind is at most
+    # min(rated, 1.15 M), within H3 = M + 0.15 rated), so horizon 1's
+    # actual wind is set 1 MW above its H3 level
+    net, profiles = day_fixture()
+    h3 = make_levels([float(profiles.wind_forecast[3][1])], None,
+                     [10.0]).values[0][0]
+    actual = profiles.wind_actual[3].copy()
+    actual[UPDATES_PER_SLOT:2 * UPDATES_PER_SLOT] = h3 + 1.0
+    run = run_day(net, replace(profiles, wind_actual={3: actual}),
+                  opts=FAST_OPTS, n_horizons=3)
+    assert run.summary.clamp_intervals == UPDATES_PER_SLOT
+    assert [r.update_id for r in run.records if r.clamped] == list(
+        range(UPDATES_PER_SLOT, 2 * UPDATES_PER_SLOT))
+    # a clamped update takes the H3 row, plans for less wind than it
+    # injects, and is the only kind that breaks a limit here
+    assert all(r.selected_index == 1 for r in run.records if r.clamped)
+    assert run.summary.violation_intervals >= 1
+    assert (run.summary.violation_intervals_clamped
+            == run.summary.violation_intervals)
+
+
+def test_run_day_counts_a_failed_update_and_restarts_flat(monkeypatch):
+    net, profiles = day_fixture()
+    real = realtime.apply_and_realize
+    starts = []
+
+    def flaky(*args, start=None, **kwargs):
+        starts.append(start)
+        if len(starts) == 3:
+            raise PowerFlowError("no solution")
+        return real(*args, start=start, **kwargs)
+    monkeypatch.setattr(realtime, "apply_and_realize", flaky)
+    run = run_day(net, profiles, opts=FAST_OPTS, n_horizons=1)
+    assert run.summary.failed_intervals == 1
+    assert run.summary.updates == UPDATES_PER_SLOT
+    failed = run.records[2]
+    assert failed.failed and failed.realized is None
+    assert [r.update_id for r in run.records if r.failed] == [2]
+    # the trace writes nan for the update that realized nothing
+    header, *rows = trace_to_csv(run, [3]).strip().split("\n")
+    row = dict(zip(header.split(","), rows[2].split(",")))
+    assert [row[c] for c in ("realized_p_s_mw", "realized_q_s_mvar",
+                             "realized_p_loss_mw", "realized_f")] == \
+        ["nan"] * 4
+    assert row["failed"] == "1"
+    # the update after it starts flat; the others start warm
+    assert starts[3] is None
+    assert all(s is not None for s in starts[1:3] + starts[4:])
+    # and the failed update adds nothing to the totals
+    assert run.summary.total_f == pytest.approx(
+        sum(r.realized_f for r in run.records if not r.failed), abs=1e-12)
 
 
 def test_run_day_without_enforcement_only_counts_overruns():

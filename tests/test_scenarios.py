@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtopf.opf import FAST_OPTS, HorizonInput, STATUS_OPTIMAL
+from rtopf.opf import FAST_OPTS, HorizonInput, STATUS_FAILURE, STATUS_OPTIMAL
+from rtopf.profiles import ProfileGenConfig, gen_day_profiles
+from rtopf.realtime import run_day
 from rtopf.scenarios import (DEFAULT_WIDTH_FRACTION, LEVEL_LABELS,
                              build_lookup_table, enumerate_scenarios,
                              make_levels, scenario_index, scenario_label,
                              table_to_csv)
 
-from conftest import chain_net
+from conftest import DATA, chain_net, raising_row
 
 
 def test_level_width_ratio_enforced():
@@ -208,6 +211,32 @@ def test_failed_rows_do_not_sink_the_table():
                                opts=FAST_OPTS)
     assert table.n_rows == 7
     assert all(sol.status != STATUS_OPTIMAL for _, sol in table.rows)
+
+
+def test_a_raising_row_fails_alone(net41, horizon1, monkeypatch):
+    # the row's exception becomes a failed row; the table keeps every row,
+    # and the rest of the row's block is still solved
+    exc = raising_row(monkeypatch)
+    buses = [s.bus for s in net41.stations]
+    levels = make_levels([horizon1.wind_available[b] for b in buses], None,
+                         [s.rated_power for s in net41.stations])
+    table = build_lookup_table(net41, horizon1, enumerate_scenarios(levels),
+                               levels)
+    assert table.n_rows == 49
+    _, failed = table.row(10)
+    assert failed.status == STATUS_FAILURE
+    assert failed.message == repr(exc)
+    assert failed.evals == 0
+    assert [sol.status for sc, sol in table.rows if sc.index != 10] == \
+        [STATUS_OPTIMAL] * 48
+    # the controller counts it among the day's failed rows
+    shape = json.loads((DATA / "hourly_demand_shape.json").read_text())
+    base = json.loads((DATA / "hourly_wind_base.json").read_text())
+    profiles = gen_day_profiles(net41, shape["hourly_shape"],
+                                base["hourly_base_mw"],
+                                ProfileGenConfig(seed=0))
+    run = run_day(net41, profiles, n_horizons=1)
+    assert run.summary.failed_rows == 1
 
 
 def test_table_to_csv_shape():
