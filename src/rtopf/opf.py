@@ -39,9 +39,10 @@ evaluator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -64,6 +65,20 @@ POLISH_STEP_MIN = 1e-2  # the poll halves the step down to this
 SURFACE_TOL = 1e-7      # MW; |p_s| of a point on the reverse-flow boundary
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses every write: the mappings of a validated input,
+    so that its mark cannot outlive a change to them."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a validated input's mappings are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):  # pickles (for a worker) without a write
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class HorizonInput:
     """Forecast data and prices for one prediction horizon.
@@ -71,21 +86,48 @@ class HorizonInput:
     ``demand_p`` / ``demand_q`` map demand-bus id to MW / Mvar;
     ``wind_available`` maps station bus id to available MW; prices are per
     MW / Mvar per horizon.
+
+    ``validated(net)`` returns a copy with read-only mappings, marked valid
+    for that network object, which also keeps its demand per bus there: a
+    validated input is checked once, however many rows solve it. A row made
+    by ``with_wind`` keeps the mark with only its new wind checked;
+    ``dataclasses.replace`` drops it.
     """
     demand_p: Mapping[int, float]
     demand_q: Mapping[int, float]
     wind_available: Mapping[int, float]
     price_p: float
     price_q: float
+    # (network, demand per bus on it), set by ``validated``
+    _valid: tuple[Network, InjectionSpec] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def validated(self, net: Network) -> "HorizonInput":
-        for bus, val in itertools.chain(self.demand_p.items(),
-                                        self.demand_q.items()):
+        """This input checked against ``net``, at once if it already is.
+        Raises ValueError, or NetworkValidationError for an unknown demand
+        bus."""
+        if self._valid is not None and self._valid[0] is net:
+            return self
+        out = HorizonInput(_ReadOnlyDict(self.demand_p),
+                           _ReadOnlyDict(self.demand_q),
+                           _ReadOnlyDict(self.wind_available),
+                           self.price_p, self.price_q)
+        for bus, val in itertools.chain(out.demand_p.items(),
+                                        out.demand_q.items()):
             net.index_of(int(bus))
             if not math.isfinite(val):
                 raise ValueError(f"non-finite demand at bus {bus}: {val}")
             if val < 0:
                 raise ValueError(f"negative demand at bus {bus}")
+        out._check_wind(net)
+        if not all(0 <= c < math.inf for c in (self.price_p, self.price_q)):
+            raise ValueError("prices must be finite and non-negative")
+        demand = InjectionSpec.from_mappings(net, out.demand_p, out.demand_q)
+        demand.p_mw.flags.writeable = demand.q_mvar.flags.writeable = False
+        object.__setattr__(out, "_valid", (net, demand))
+        return out
+
+    def _check_wind(self, net: Network) -> None:
         rated = {s.bus: s.rated_power for s in net.stations}
         for bus, val in self.wind_available.items():
             if int(bus) not in rated:
@@ -93,12 +135,24 @@ class HorizonInput:
             if not (0 <= val <= rated[int(bus)] + 1e-9):
                 raise ValueError(
                     f"wind at bus {bus} outside [0, rated]: {val}")
-        if not all(0 <= c < math.inf for c in (self.price_p, self.price_q)):
-            raise ValueError("prices must be finite and non-negative")
-        return self
 
     def with_wind(self, wind_by_station: Mapping[int, float]) -> "HorizonInput":
-        return replace(self, wind_available=dict(wind_by_station))
+        """This input with other wind. A validated input stays validated
+        for its network, with only the new wind checked."""
+        row = HorizonInput(self.demand_p, self.demand_q,
+                           _ReadOnlyDict(wind_by_station), self.price_p,
+                           self.price_q)
+        if self._valid is not None:
+            row._check_wind(self._valid[0])
+            object.__setattr__(row, "_valid", self._valid)
+        return row
+
+    def demand_on(self, net: Network) -> InjectionSpec:
+        """The demand per bus on ``net``: the one ``validated`` converted,
+        or a new conversion for an input not validated for ``net``."""
+        if self._valid is not None and self._valid[0] is net:
+            return self._valid[1]
+        return InjectionSpec.from_mappings(net, self.demand_p, self.demand_q)
 
 
 @dataclass(frozen=True)
@@ -160,8 +214,8 @@ _FAILED_EVAL = _Eval(-math.inf, math.nan)
 
 
 def _frozen(a) -> np.ndarray:
-    """A read-only copy: a reported row owns its arrays, and a reused row
-    shares its incumbent's."""
+    """A read-only copy: a reported row owns its arrays, a reused row
+    shares its incumbent's, and every search shares the cached moves."""
     a = np.array(a)
     a.flags.writeable = False
     return a
@@ -181,8 +235,7 @@ class _Evaluator:
         # ``wind`` is ``_wind(net, inp)``, which the caller has at hand
         self.net = net
         self.inp = inp
-        self.demand = InjectionSpec.from_mappings(net, inp.demand_p,
-                                                  inp.demand_q)
+        self.demand = inp.demand_on(net)
         self.wind = wind
         self._q_pu = -self.demand.q_mvar / net.base_mva
         self.evals = 0
@@ -199,7 +252,7 @@ class _Evaluator:
         self.evals += k
         net, inp = self.net, self.inp
         beta = np.array(xs, dtype=float).reshape(k, -1)
-        p, _, injected = injections(net, self.demand, self.wind, beta)
+        p, injected = injections(net, self.demand, self.wind, beta)
         s_pu = p / net.base_mva + 1j * self._q_pu
         vc = (np.repeat(self._warm[None, :], k, axis=0) if start is None
               else np.array(start))
@@ -271,8 +324,8 @@ class Incumbent:
     """A row A with what ``_reuse`` needs of it that does not depend on
     the row B it is offered to, computed once: A's wind and injection
     P_A = beta_A * w_A per station, its demand per bus, and the power its
-    state draws (``drawn_power``). Build it with ``of``; ``_reuse`` checks
-    that A is optimal with every limit held."""
+    state draws (``drawn_power``). Build it with ``of``, which builds none
+    for a row whose optimum may not be reused."""
     inp: HorizonInput
     sol: OPFSolution
     wind: tuple[float, ...]   # MW per station
@@ -282,10 +335,13 @@ class Incumbent:
     drawn: np.ndarray         # and the drawn power, at the non-slack buses
 
     @staticmethod
-    def of(net: Network, inp: HorizonInput, sol: OPFSolution) -> "Incumbent":
-        """The record of row ``inp`` solved as ``sol``, which must carry a
-        power flow."""
-        demand = InjectionSpec.from_mappings(net, inp.demand_p, inp.demand_q)
+    def of(net: Network, inp: HorizonInput,
+           sol: OPFSolution) -> "Incumbent | None":
+        """The record of row ``inp`` solved as ``sol``, or None unless
+        ``sol`` is optimal with every limit held."""
+        if sol.status != STATUS_OPTIMAL or not sol.report.ok:
+            return None
+        demand = inp.demand_on(net)
         wind = _wind(net, inp).tolist()
         pf = sol.power_flow
         return Incumbent(
@@ -314,9 +370,8 @@ def evaluate_objective(net: Network, inp: HorizonInput,
     # written so that NaN fails it too
     if not np.all((beta >= -1e-12) & (beta <= 1 + 1e-12)):
         raise ValueError("beta must lie in [0, 1] per station")
-    demand = InjectionSpec.from_mappings(net, inp.demand_p, inp.demand_q)
-    pf, terms = evaluate_point(net, demand, _wind(net, inp), beta,
-                               inp.price_p, inp.price_q)
+    pf, terms = evaluate_point(net, inp.demand_on(net), _wind(net, inp),
+                               beta, inp.price_p, inp.price_q)
     return ObjectiveBreakdown(*terms, power_flow=pf,
                               report=check_limits(net, pf))
 
@@ -364,6 +419,8 @@ def _land(ev: _Evaluator, xs,
                 out.append((x, e))
             elif k >= 0 and x[k] == 0:
                 beyond.append((x, e, i))
+        if not beyond:
+            break
         raised = np.array([i for _, _, i in beyond], dtype=int)
         slide = _slides(ev.wind, [x for x, _, _ in beyond], raised)
         keep = np.flatnonzero(slide >= 0)
@@ -373,27 +430,43 @@ def _land(ev: _Evaluator, xs,
     return out
 
 
-def _poll(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The complete poll from x: each station raised and each lowered, at
-    every step POLISH_STEP, POLISH_STEP/2, ... >= POLISH_STEP_MIN, largest
-    step first, clipped to the box; duplicates and x itself are left out.
-    Returns the points and, per point, the station its move raised (-1 for
-    a lowering move).
-    """
-    n = x.size
+@functools.lru_cache(maxsize=None)
+def _moves(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The moves of ``_poll`` for n stations, built once: every step
+    POLISH_STEP, POLISH_STEP/2, ... >= POLISH_STEP_MIN, largest first,
+    times each station raised and then each lowered, as (moves, n) offsets,
+    and per move the station it raises (-1 for a lowering move)."""
     d = np.vstack([np.eye(n), -np.eye(n)])
     raised = np.array([*range(n), *[-1] * n])
     steps = [POLISH_STEP]
     while steps[-1] / 2.0 >= POLISH_STEP_MIN:
         steps.append(steps[-1] / 2.0)
-    cands = np.minimum(np.maximum(
-        x + np.multiply.outer(steps, d), 0.0), 1.0).reshape(-1, n)
+    return (_frozen(np.multiply.outer(steps, d).reshape(-1, n)),
+            _frozen(np.tile(raised, len(steps))))
+
+
+@functools.lru_cache(maxsize=None)
+def _seed_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coarse seeding grid for n stations, built once: COARSE_GRID
+    points per station, as (points, n), and no raised station per point."""
+    axis = np.linspace(0.0, 1.0, COARSE_GRID)
+    grid = _frozen(list(itertools.product(axis, repeat=n)))
+    return grid, _frozen(np.full(len(grid), -1))
+
+
+def _poll(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The complete poll from x: the points x + ``_moves``, clipped to the
+    box; duplicates and x itself are left out. Returns the points and, per
+    point, the station its move raised (-1 for a lowering move).
+    """
+    offsets, raised = _moves(x.size)
+    cands = np.minimum(np.maximum(x + offsets, 0.0), 1.0)
     seen, keep = {tuple(x.tolist())}, []
     for c, key in enumerate(map(tuple, cands.tolist())):
         if key not in seen:
             seen.add(key)
             keep.append(c)
-    return cands[keep], np.tile(raised, len(steps))[keep]
+    return cands[keep], raised[keep]
 
 
 def _polish(ev: _Evaluator, x: np.ndarray, e: _Eval, max_evals: int):
@@ -434,18 +507,17 @@ def _reuse(net: Network, inp: HorizonInput, wind: np.ndarray,
     P_A / w_B. A's state must solve B's own injection: its largest P or Q
     mismatch there is at most MISMATCH_TOL, the test with which a power flow
     started from that state would stop at once. B then keeps A's state,
-    slack power, flows and constraint report (A's must hold every limit),
-    reports 0 iterations and that mismatch, and takes its losses and
-    objective terms from its own injection. Nothing is solved.
+    slack power, flows and constraint report, reports 0 iterations and
+    that mismatch, and takes its losses and objective terms from its own
+    injection. Nothing is solved.
 
-    Only the steps that depend on B run here, each with the arithmetic of
+    Only the steps that depend on B run here (that A is optimal with every
+    limit held, ``Incumbent.of`` checked once), each with the arithmetic of
     the evaluator's own: the box tests and beta on floats, B's injection
     (``injections``) from A's demand, and the mismatch against A's drawn
     power.
     """
     a = incumbent
-    if a.sol.status != STATUS_OPTIMAL or not a.sol.report.ok:
-        return None
     if ((inp.demand_p, inp.demand_q, inp.price_p, inp.price_q)
             != (a.inp.demand_p, a.inp.demand_q, a.inp.price_p,
                 a.inp.price_q)):
@@ -456,7 +528,7 @@ def _reuse(net: Network, inp: HorizonInput, wind: np.ndarray,
             return None
         beta.append(b_a if w_b == w_a or w_b == 0
                     else min(max(p_a / w_b, 0.0), 1.0))
-    p, _, injected = injections(net, a.demand, wind, beta)
+    p, injected = injections(net, a.demand, wind, beta)
     ds = p[1:] / net.base_mva + a.jq - a.drawn
     res = float(np.abs(ds.view(float)).max(initial=0.0))
     if not res <= MISMATCH_TOL:
@@ -521,9 +593,7 @@ def solve_opf(net: Network, inp: HorizonInput,
     # coarse seeding grid, landed as poll points are: a corner that exports
     # slides onto the reverse-flow boundary (the fully-uncurtailed corner
     # through the windiest station: the usual optimum basin)
-    axis = np.linspace(0.0, 1.0, COARSE_GRID)
-    grid = [np.array(c) for c in itertools.product(axis, repeat=nst)]
-    best_x, best_e = max(_land(ev, grid, np.full(len(grid), -1)),
+    best_x, best_e = max(_land(ev, *_seed_grid(nst)),
                          key=lambda s: s[1].score,
                          default=(ones, _FAILED_EVAL))
 

@@ -98,15 +98,15 @@ class PowerFlowSolution:
 
 
 def injections(net: Network, demand: InjectionSpec, wind,
-               beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bus injections in MW / Mvar for K curtailment vectors or one.
+               beta) -> tuple[np.ndarray, np.ndarray]:
+    """Bus active injections in MW for K curtailment vectors or one.
 
     ``demand`` is the demand per bus (``InjectionSpec.from_mappings``),
     ``beta`` is (K, stations) or one (stations,) and ``wind`` the available
     MW per station, in ``net.stations`` order. Demand enters negative and
-    wind at unity power factor. Returns p and q, each (K, n), and the wind
-    injected per case (K,); for one beta, p and q are (n,) and the wind a
-    scalar.
+    wind at unity power factor, so the reactive injection is the negated
+    demand alone, the same for every case. Returns p, (K, n), and the wind
+    injected per case (K,); for one beta, p is (n,) and the wind a scalar.
     """
     w = np.multiply(beta, wind, dtype=float)
     shape = w.shape[:-1] + demand.p_mw.shape
@@ -114,8 +114,7 @@ def injections(net: Network, demand: InjectionSpec, wind,
     # the transposes put the bus axis first in either shape; station buses
     # are distinct
     p.T[net.station_index] += w.T
-    q = np.negative(demand.q_mvar, out=np.empty(shape))
-    return p, q, w.sum(axis=-1)
+    return p, w.sum(axis=-1)
 
 
 def _per_bus(net: Network, by_bus: Mapping[int, float]) -> np.ndarray:
@@ -364,8 +363,9 @@ def evaluate_point(net: Network, demand: InjectionSpec, wind, beta,
     and ``objective`` at one beta, for the demand per bus ``demand``
     (``InjectionSpec.from_mappings``) and at prices the caller has
     prorated. Returns the solution and (f, f1, f2, f3, f4)."""
-    p, q, injected = injections(net, demand, wind, beta)
-    pf = solve_power_flow(net, InjectionSpec(p, q), **pf_args)
+    p, injected = injections(net, demand, wind, beta)
+    pf = solve_power_flow(net, InjectionSpec(p, np.negative(demand.q_mvar)),
+                          **pf_args)
     return pf, objective(price_p, price_q, float(injected), pf.p_loss,
                          pf.p_s, pf.q_s)
 

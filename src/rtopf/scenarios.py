@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .network import Network
 from .opf import (HorizonInput, Incumbent, OPFOptions, OPFSolution,
-                  STATUS_FAILURE, STATUS_OPTIMAL, _failed, solve_opf)
+                  STATUS_FAILURE, _failed, solve_opf)
 
 LEVEL_LABELS = ("H3", "H2", "H1", "M", "L1", "L2", "L3")
 DEFAULT_DEADLINE_S = 112.0
@@ -131,14 +131,16 @@ def _solve_block(args) -> list[tuple[int, OPFSolution]]:
     net, inp, block, opts = args
     out, incumbent = [], None
     for sc in block:
-        row = inp.with_wind({st.bus: w for st, w in zip(net.stations,
-                                                         sc.wind)})
         try:
+            row = inp.with_wind({st.bus: w for st, w in zip(net.stations,
+                                                             sc.wind)})
             sol = solve_opf(net, row, opts, incumbent=incumbent)
         except Exception as exc:  # a failed row must not sink the table
             sol = _failed(len(net.stations), STATUS_FAILURE, 0, repr(exc))
-        if sol.status == STATUS_OPTIMAL and sol.evals > 0:
-            incumbent = Incumbent.of(net, row, sol)
+        if sol.evals > 0:
+            # a searched row whose optimum may not be reused leaves the
+            # incumbent as it was
+            incumbent = Incumbent.of(net, row, sol) or incumbent
         out.append((sc.index, sol))
     return out
 
@@ -158,7 +160,10 @@ def build_lookup_table(net: Network, inp: HorizonInput,
     count. The pool starts at most one worker per block, and its module is
     imported only when more than one is started.
     Invalid horizon input, or a ``deadline`` that is not a positive finite
-    number of seconds, raises ValueError before any row is solved.
+    number of seconds, raises ValueError before any row is solved. The
+    horizon is validated once: each row, made by ``with_wind``, keeps its
+    mark with only its wind checked, so a row's ``solve_opf`` checks
+    nothing again.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtopf import opf, powerflow, scenarios
+from rtopf.network import NetworkValidationError
 from rtopf.opf import (FAST_OPTS, HorizonInput, Incumbent, OPFOptions,
                        OPFSolution, POLISH_STEP, POLISH_STEP_MIN,
                        STATUS_FAILURE, STATUS_INFEASIBLE, STATUS_OPTIMAL,
@@ -25,6 +26,12 @@ from conftest import DATA, chain_net
 # ``rtopf build-table`` writes it
 REFERENCE_TABLE_SHA256 = ("9b794688acace8f25029d9a45380351c"
                           "fee5da61337d4ccfb83ef4280ce0652f")
+# SHA-256 over the CSVs of the 8 ``random_horizons`` tables in order, and
+# their evaluations: the searched path beyond the reference table, whose
+# rows include corner rows and hand-overs
+RANDOM_TABLES_SHA256 = ("64387e3755ca1d6846fb2add4774c325"
+                        "1fe76959b83d15877d8faaf1f7b8ccce")
+RANDOM_TABLES_EVALS = 3855
 
 
 def one_station_net(**kw):
@@ -38,27 +45,80 @@ def make_input(net, demand_p, wind, price_p=1.67, price_q=0.4):
 
 
 def test_input_validation():
+    # each invalid class is rejected with its message by ``validated``,
+    # by ``solve_opf``, by a table build, and by a row made with
+    # ``with_wind`` from an input already validated: a demand or a price
+    # changed by ``replace`` drops the mark, and a row's wind is checked
     net = one_station_net()
-    with pytest.raises(ValueError, match="negative demand"):
-        make_input(net, {2: -1.0}, {3: 1.0}).validated(net)
+    nan, inf = float("nan"), float("inf")
+    levels = make_levels([1.0], None, [10.0])
+    scenarios_ = enumerate_scenarios(levels)
+    valid = make_input(net, {2: 1.0}, {3: 1.0}).validated(net)
+    bad_demand = [({2: nan}, ValueError, "non-finite demand at bus 2: nan"),
+                  ({2: inf}, ValueError, "non-finite demand at bus 2: inf"),
+                  ({2: -1.0}, ValueError, "negative demand at bus 2"),
+                  ({9: 1.0}, NetworkValidationError, "unknown bus id 9")]
+    cases = []
+    for demand, err, msg in bad_demand:
+        for field in ("demand_p", "demand_q"):
+            cases.append((replace(valid, **{field: demand}), err, msg))
+    for wind in (99.0, -1.0, nan):
+        cases.append((replace(valid, wind_available={3: wind}), ValueError,
+                      "outside"))
+    cases.append((replace(valid, wind_available={2: 1.0}), ValueError,
+                  "no wind station"))
+    for price in (nan, inf, -1.0):
+        for field in ("price_p", "price_q"):
+            cases.append((replace(valid, **{field: price}), ValueError,
+                          "prices must be finite"))
+    for inp, err, msg in cases:
+        for reject in (lambda: inp.validated(net),
+                       lambda: solve_opf(net, inp),
+                       lambda: build_lookup_table(net, inp, scenarios_,
+                                                  levels)):
+            with pytest.raises(err, match=msg):
+                reject()
+        wind = dict(inp.wind_available)
+        if wind == {3: 1.0}:  # a bad demand or price: the row is solved
+            with pytest.raises(err, match=msg):
+                solve_opf(net, inp.with_wind({3: 0.5}))
+        else:  # a bad wind: the row of the valid input is refused
+            with pytest.raises(err, match=msg):
+                valid.with_wind(wind)
+    # a scenario row whose wind breaks its rating fails alone
+    over = [replace(sc, wind=(99.0,)) if sc.index == 1 else sc
+            for sc in scenarios_]
+    table = build_lookup_table(net, valid, over, levels)
+    assert table.row(1)[1].status == STATUS_FAILURE
+    assert "outside [0, rated]: 99.0" in table.row(1)[1].message
+    assert all(sol.status == STATUS_OPTIMAL for _, sol in table.rows[1:])
+    # the mark holds for its network object only
+    assert valid.validated(net) is valid
+    row = valid.with_wind({3: 0.5})
+    assert row.validated(net) is row and row.demand_p is valid.demand_p
     with pytest.raises(ValueError, match="no wind station"):
-        make_input(net, {2: 1.0}, {2: 1.0}).validated(net)
-    with pytest.raises(ValueError, match="outside"):
-        make_input(net, {2: 1.0}, {3: 99.0}).validated(net)
-    with pytest.raises(ValueError, match="prices"):
-        make_input(net, {2: 1.0}, {3: 1.0}, price_p=-1.0).validated(net)
-    nan = float("nan")
-    with pytest.raises(ValueError, match="non-finite demand"):
-        make_input(net, {2: nan}, {3: 1.0}).validated(net)
-    with pytest.raises(ValueError, match="non-finite demand"):
-        make_input(net, {2: float("inf")}, {3: 1.0}).validated(net)
-    with pytest.raises(ValueError, match="outside"):
-        make_input(net, {2: 1.0}, {3: nan}).validated(net)
-    with pytest.raises(ValueError, match="prices"):
-        make_input(net, {2: 1.0}, {3: 1.0}, price_q=nan).validated(net)
-    with pytest.raises(ValueError, match="prices"):
-        make_input(net, {2: 1.0}, {3: 1.0},
-                   price_p=float("inf")).validated(net)
+        valid.validated(chain_net(3))
+    # a validated input's mappings refuse writes, and a write into the
+    # mapping it was copied from is checked by the next solve
+    for mapping in (valid.demand_p, valid.demand_q, row.wind_available):
+        with pytest.raises(TypeError, match="read-only"):
+            mapping[2] = nan
+        with pytest.raises(TypeError, match="read-only"):
+            mapping.update({2: nan})
+    raw = {2: 1.0}
+    inp = make_input(net, raw, {3: 1.0})
+    checked = inp.validated(net)
+    raw[2] = nan
+    with pytest.raises(ValueError, match="non-finite demand at bus 2: nan"):
+        solve_opf(net, inp)
+    assert solve_opf(net, checked).status == STATUS_OPTIMAL
+    # string and numpy integer bus keys are accepted, as the ints they name
+    plain = solve_opf(net, valid)
+    for key in ("2", np.int64(2)):
+        keyed = make_input(net, {key: 1.0}, {3: 1.0})
+        assert solution_key(solve_opf(net, keyed)) == solution_key(plain)
+        table = build_lookup_table(net, keyed, scenarios_, levels)
+        assert all(sol.status == STATUS_OPTIMAL for _, sol in table.rows)
 
 
 def test_objective_decomposition_identity():
@@ -445,6 +505,86 @@ def test_reference_table_takes_few_kernel_calls(net41, horizon1,
     assert hashlib.sha256(csv).hexdigest() == REFERENCE_TABLE_SHA256
 
 
+def build_table(net, inp):
+    """The table of ``inp``: default levels around its forecast, one
+    worker."""
+    levels = make_levels([inp.wind_available[s.bus] for s in net.stations],
+                         None, [s.rated_power for s in net.stations])
+    return build_lookup_table(net, inp, enumerate_scenarios(levels), levels)
+
+
+@pytest.fixture(scope="module")
+def random_tables(net41, horizon1):
+    return [build_table(net41, inp)
+            for inp in random_horizons(horizon1, net41, 8)]
+
+
+def test_random_tables_are_pinned(net41, random_tables):
+    # every row of the 8 random tables, bitwise, and their evaluations;
+    # unlike the reference table they have corner rows (searched rows
+    # ending at beta = (1, 1)) and landings that hand over
+    buses = [s.bus for s in net41.stations]
+    digest = hashlib.sha256()
+    for table in random_tables:
+        digest.update(scenarios.table_to_csv(table, buses).encode())
+    assert digest.hexdigest() == RANDOM_TABLES_SHA256
+    sols = [sol for table in random_tables for _, sol in table.rows]
+    assert sum(sol.evals for sol in sols) == RANDOM_TABLES_EVALS
+    assert sum(sol.evals > 0 and sol.beta == (1.0, 1.0) for sol in sols) == 74
+
+
+def containment_excess(table):
+    """The largest f_A - f_B over the ordered pairs of rows (A, B) of a
+    table, A = B included, where B's wind box contains A's, and the number
+    of such pairs."""
+    pairs = [(a.f - b.f) for sa, a in table.rows for sb, b in table.rows
+             if all(wa <= wb for wa, wb in zip(sa.wind, sb.wind))]
+    return max(pairs), len(pairs)
+
+
+def test_no_row_beats_a_row_whose_box_contains_it(net41, horizon1,
+                                                  random_tables):
+    # a check with no oracle: a row's feasible set lies inside that of a
+    # row whose wind box contains its own, so its optimum is no higher
+    reference = build_table(net41, horizon1)
+    for table in (reference, *random_tables):
+        assert all(sol.status == STATUS_OPTIMAL for _, sol in table.rows)
+    worst, pairs = containment_excess(reference)
+    assert pairs == 784
+    # at most 1.8e-15 measured: the rounding of beta = P / w
+    assert worst <= 1e-12
+    excess = [containment_excess(table) for table in random_tables]
+    assert sum(n for _, n in excess) == 6328
+    # at most 7.6e-7 measured: the poll accepts a step only above TOL_OBJ
+    # (1e-7), so a search may stop short of a flat optimum by about that
+    # much, and a reused row copies its incumbent's stop
+    assert max(w for w, _ in excess) <= 1e-6
+
+
+def test_a_table_checks_and_converts_its_horizon_once(net41, horizon1,
+                                                      monkeypatch):
+    # the horizon is validated once, and its demand converted to bus order
+    # once, for all 49 rows, 7 evaluators and 7 incumbent records; each
+    # row reaches ``solve_opf`` marked valid, so that call checks nothing
+    conversions, rows = [], []
+    convert, real = powerflow.InjectionSpec.from_mappings, scenarios.solve_opf
+
+    def counted(net, p_by_bus, q_by_bus):
+        conversions.append(p_by_bus)
+        return convert(net, p_by_bus, q_by_bus)
+
+    def recorded(net, inp, opts=None, incumbent=None):
+        rows.append(inp)
+        return real(net, inp, opts, incumbent=incumbent)
+    monkeypatch.setattr(powerflow.InjectionSpec, "from_mappings",
+                        staticmethod(counted))
+    monkeypatch.setattr(scenarios, "solve_opf", recorded)
+    build_table(net41, horizon1)
+    assert len(conversions) == 1
+    assert len(rows) == 49
+    assert all(row.validated(net41) is row for row in rows)
+
+
 def solution_key(sol):
     """Every field of a solution, its power flow and the values and margins
     of its report, the arrays bitwise."""
@@ -495,8 +635,10 @@ def test_rejected_incumbent_changes_nothing(net41, horizon1):
         (replace(wider, price_p=2.0), ok[1]),
         (replace(wider, price_q=0.5), ok[1]),
     ]
-    # each a record built by ``Incumbent.of``, which takes any solution
-    # with a power flow: the failed one and the limit-breaking one too
+    # ``Incumbent.of`` builds no record of the failed row nor of the
+    # limit-breaking one, so those rows are searched as without one
+    assert Incumbent.of(net41, *rejected[2]) is None
+    assert Incumbent.of(net41, *rejected[5]) is None
     for inp_a, sol_a in rejected:
         incumbent = Incumbent.of(net41, inp_a, sol_a)
         assert (solution_key(solve_opf(net41, row, incumbent=incumbent))
@@ -575,7 +717,7 @@ def reference_reuse(net, inp, inp_a, sol_a):
     keep = (w_b == w_a) | (w_b == 0)
     beta = np.where(keep, beta_a, np.clip(
         p_a / np.where(keep, 1.0, w_b), 0.0, 1.0))
-    p, _, injected = powerflow.injections(net, ev.demand, w_b, beta[None, :])
+    p, injected = powerflow.injections(net, ev.demand, w_b, beta[None, :])
     s_pu = p / net.base_mva + 1j * (-ev.demand.q_mvar / net.base_mva)
     pf = sol_a.power_flow
     _, res = powerflow.power_mismatch(

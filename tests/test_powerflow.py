@@ -202,16 +202,15 @@ def test_injections_take_one_beta_or_a_batch(net41, horizon1):
                                          horizon1.demand_q)
     wind = [horizon1.wind_available[b] for b in net41.station_buses]
     betas = np.array([[1.0, 0.35], [0.0, 1.0], [0.7, 0.2]])
-    p, q, injected = inject(net41, demand, wind, betas)
-    assert p.shape == q.shape == (3, net41.n_buses)
+    p, injected = inject(net41, demand, wind, betas)
+    assert p.shape == (3, net41.n_buses)
     for k, beta in enumerate(betas):
-        p1, q1, injected1 = inject(net41, demand, wind, tuple(beta))
-        assert p1.shape == q1.shape == (net41.n_buses,)
+        p1, injected1 = inject(net41, demand, wind, tuple(beta))
+        assert p1.shape == (net41.n_buses,)
         assert np.ndim(injected1) == 0
-        assert np.array_equal(p1, p[k]) and np.array_equal(q1, q[k])
+        assert np.array_equal(p1, p[k])
         assert injected1 == injected[k]
     # demand enters negative, wind at the station buses only
-    assert np.array_equal(q1, -demand.q_mvar)
     others = np.setdiff1d(np.arange(net41.n_buses), net41.station_index)
     assert np.array_equal(p1[others], -demand.p_mw[others])
     assert np.array_equal(p1[net41.station_index],
@@ -226,8 +225,9 @@ def test_case41_converges_fast_across_load_and_wind(net41, horizon1):
             net41, {b: scale * d for b, d in horizon1.demand_p.items()},
             {b: scale * d for b, d in horizon1.demand_q.items()})
         for wind in ([0.0] * len(rated), rated):
-            p, q, _ = inject(net41, demand, wind, [[1.0] * len(rated)])
-            sol = solve_power_flow(net41, InjectionSpec(p[0], q[0]))
+            p, _ = inject(net41, demand, wind, [[1.0] * len(rated)])
+            sol = solve_power_flow(net41, InjectionSpec(p[0],
+                                                        -demand.q_mvar))
             assert sol.iterations <= 10
             assert sol.max_residual <= 1e-10
 

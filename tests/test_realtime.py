@@ -144,8 +144,8 @@ def test_run_day_chain_matches_dict_updates_and_the_kernel(net41):
                                  r.realized_f2, r.realized_f3,
                                  r.realized_f4)
         demand = InjectionSpec.from_mappings(net41, demand_p, demand_q)
-        p, q, _ = injections(net41, demand, r.actual_wind,
-                             [r.applied_beta])
+        p, _ = injections(net41, demand, r.actual_wind, [r.applied_beta])
+        q = -demand.q_mvar
         # the start state written out: the slack at its set voltage, the
         # other buses flat or at the previous update's (v, theta)
         vc = np.full((1, net41.n_buses),
